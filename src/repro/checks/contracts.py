@@ -69,7 +69,7 @@ class Knob:
 
 _KNOB_LIST = (
     Knob("REPRO_SCALE", "runtime", "workload suite scale preset (quick/default/large)"),
-    Knob("REPRO_RESULT_CACHE", "runtime", "0 disables the in-process harness result memo"),
+    Knob("REPRO_RESULT_CACHE", "runtime", "0 disables the result-cache chain (memo, disk, store)"),
     Knob("REPRO_DISK_CACHE", "runtime", "0 disables the persistent trace/result disk cache"),
     Knob("REPRO_DISK_CACHE_DIR", "runtime", "disk cache root directory override"),
     Knob("REPRO_SCHED_WORKERS", "runtime", "scheduler fork-worker count (0 = serial)"),

@@ -1,16 +1,18 @@
 """Persistent cross-process cache for traces and simulation results.
 
-The in-process memo cache (:mod:`repro.experiments.harness`) dies with
-the interpreter; every fresh ``python -m repro experiment`` regenerates
-every trace and re-simulates every (app, design) pair even though both
-are deterministic functions of their inputs.  This module persists the
-two expensive artifacts:
+The in-process result memo (:mod:`repro.experiments.results`) dies
+with the interpreter; every fresh ``python -m repro experiment``
+regenerates every trace and re-simulates every (app, design) pair even
+though both are deterministic functions of their inputs.  This module
+persists the two expensive artifacts:
 
 * **generated traces** as uncompressed ``.npz`` under
   ``<root>/v<N>/traces/<sha256>.npz``, loaded back through a zip-member
   ``np.memmap`` so a warm start never copies the column data;
 * **FrontendStats results** as JSON under
-  ``<root>/v<N>/results/<sha256>.json``.
+  ``<root>/v<N>/results/<sha256>.json`` -- the disk tier of the result
+  chain (:mod:`repro.experiments.results`), in the one codec
+  :class:`~repro.experiments.resultstore.DiskStore` shares.
 
 Keys are content hashes: a trace key digests the full
 :class:`~repro.workloads.spec.WorkloadSpec` (plus the generator-
@@ -60,17 +62,20 @@ __all__ = [
     "RESULT_VERSION",
     "cache_root",
     "clear_disk_cache",
+    "decode_result",
     "disk_cache_enabled",
     "disk_cache_info",
-    "has_result",
+    "encode_result",
     "load_result",
     "load_trace",
+    "read_result",
     "reset_disk_telemetry",
     "result_key",
     "shard_result_key",
     "spec_digest",
     "store_result",
     "store_trace",
+    "write_result",
 ]
 
 #: On-disk layout version; bump to orphan every existing entry at once.
@@ -359,39 +364,63 @@ def store_trace(spec: WorkloadSpec, trace: Trace) -> None:
 
 
 # -- results -----------------------------------------------------------------
+#
+# One codec and one file discipline for ``results/<key>.json``: this
+# module's disk tier and :class:`repro.experiments.resultstore.DiskStore`
+# both read and write through :func:`read_result` / :func:`write_result`,
+# so either side's write is the other side's hit.
+
+
+def encode_result(stats: FrontendStats) -> bytes:
+    """Canonical bytes for one result (sorted keys, versioned)."""
+    payload = {
+        "result_version": RESULT_VERSION,
+        "stats": stats.to_dict(derived=False),
+    }
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+def decode_result(data: bytes) -> FrontendStats | None:
+    """Decode stored bytes; ``None`` marks a corrupt or stale value."""
+    try:
+        payload = json.loads(data)
+        if payload.get("result_version") != RESULT_VERSION:
+            raise ValueError("result version mismatch")
+        return FrontendStats(**payload["stats"])
+    except Exception:
+        return None
+
+
+def read_result(path: Path) -> FrontendStats | None:
+    """Read one result file; a corrupt or stale file is quarantined and
+    reads as ``None``.  Raises ``OSError`` (``FileNotFoundError`` when
+    the slot is empty)."""
+    stats = decode_result(path.read_bytes())
+    if stats is None:
+        _quarantine(path)
+    return stats
+
+
+def write_result(path: Path, stats: FrontendStats) -> None:
+    """Atomically publish one result file (raises ``OSError``)."""
+    data = encode_result(stats)
+    _atomic_write(path, lambda tmp: tmp.write_bytes(data))
 
 
 def _result_path(key: str) -> Path:
     return cache_root() / "results" / f"{key}.json"
 
 
-def has_result(key: str) -> bool:
-    """Whether a result entry exists, without loading it or touching the
-    hit/miss telemetry (the serving layer's cache probes use this)."""
-    return disk_cache_enabled() and _result_path(key).exists()
-
-
 def load_result(key: str) -> FrontendStats | None:
     """Load a cached :class:`FrontendStats`, or ``None`` on a miss."""
     if not disk_cache_enabled():
         return None
-    path = _result_path(key)
-    if not path.exists():
-        _count("result_misses")
-        obs_events.emit("disk-result", key=key, hit=False)
-        return None
     try:
-        payload = json.loads(path.read_text())
-        if payload.get("result_version") != RESULT_VERSION:
-            raise ValueError("result version mismatch")
-        stats = FrontendStats(**payload["stats"])
-    except Exception:
-        _quarantine(path)
-        _count("result_misses")
-        obs_events.emit("disk-result", key=key, hit=False)
-        return None
-    _count("result_hits")
-    obs_events.emit("disk-result", key=key, hit=True)
+        stats = read_result(_result_path(key))
+    except OSError:
+        stats = None
+    _count("result_hits" if stats is not None else "result_misses")
+    obs_events.emit("disk-result", key=key, hit=stats is not None)
     return stats
 
 
@@ -399,13 +428,5 @@ def store_result(key: str, stats: FrontendStats) -> None:
     """Persist one simulation result as JSON."""
     if not disk_cache_enabled():
         return
-    payload = {
-        "result_version": RESULT_VERSION,
-        "stats": stats.to_dict(derived=False),
-    }
-
-    def write(tmp: Path) -> None:
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-
-    _atomic_write(_result_path(key), write)
+    write_result(_result_path(key), stats)
     _count("stores")

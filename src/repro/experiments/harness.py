@@ -1,10 +1,13 @@
-"""Suite runner with process-level result caching.
+"""Suite runner over the result-cache chain.
 
 Every figure/table of the paper is (app x design) simulations plus an
-aggregation.  Simulations are deterministic, so results are memoised per
-``(trace name, scale, design key, core-params, warmup)``: benchmark
-files for different figures share the underlying runs, and repeated
-pytest-benchmark rounds cost one simulation.
+aggregation.  Simulations are deterministic, so results are cached per
+``(trace name, scale, design key, core-params, warmup)`` in the
+memo -> disk -> store chain of :mod:`repro.experiments.results`:
+benchmark files for different figures share the underlying runs, and
+repeated pytest-benchmark rounds cost one simulation.
+:func:`simulate` is the one fresh-compute path -- the serving layer's
+cold jobs run through it too -- and records the run telemetry.
 
 ``run_suite(..., workers=N)`` fans the per-application simulations out
 through the shard scheduler
@@ -32,13 +35,12 @@ from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
 from repro.workloads.suite import build_suite, current_scale, get_trace
-from repro.experiments import diskcache, resultstore, scheduler
+from repro.workloads.trace import Trace
+from repro.experiments import results, scheduler
 from repro.experiments.designs import Design
+from repro.experiments.results import ResultRef
 
-#: (trace name, scale, design key, params, warmup) -> FrontendStats
-_RESULT_CACHE: dict[tuple, FrontendStats] = {}
-
-#: Memo-cache telemetry (exposed by cache_info / the metrics registry).
+#: Memo-cache telemetry of :func:`run_design` lookups (cache_info).
 _CACHE_HITS = 0
 _CACHE_MISSES = 0
 
@@ -50,26 +52,22 @@ _RUN_SECONDS: dict[tuple[str, str], float] = {}
 #: fresh simulation; the report's telemetry appendix aggregates these.
 _RUN_ENGINES: dict[tuple[str, str], tuple[str, float]] = {}
 
-#: Memo state is written by serve worker threads while the event loop
+#: Telemetry is written by serve worker threads while the event loop
 #: reads ``cache_info`` on ``/v1/stats`` (REP104).
 _CACHE_LOCK = threading.Lock()
 
-
-def cache_enabled() -> bool:
-    """Memoisation knob: ``REPRO_RESULT_CACHE=0`` disables the cache
-    (benchmarking the cache's own impact, or forcing fresh runs)."""
-    return os.environ.get("REPRO_RESULT_CACHE", "1") != "0"
+cache_enabled = results.enabled
 
 
 def cache_info() -> dict:
     """Memo-cache telemetry: hits / misses / size / hit rate."""
     with _CACHE_LOCK:
-        hits, misses, size = _CACHE_HITS, _CACHE_MISSES, len(_RESULT_CACHE)
+        hits, misses = _CACHE_HITS, _CACHE_MISSES
     lookups = hits + misses
     return {
         "hits": hits,
         "misses": misses,
-        "size": size,
+        "size": results.memo_size(),
         "hit_rate": hits / lookups if lookups else 0.0,
         "enabled": cache_enabled(),
     }
@@ -78,8 +76,8 @@ def cache_info() -> dict:
 def clear_cache() -> None:
     """Drop all memoised simulation results and telemetry (tests use this)."""
     global _CACHE_HITS, _CACHE_MISSES
+    results.clear()
     with _CACHE_LOCK:
-        _RESULT_CACHE.clear()
         _RUN_SECONDS.clear()
         _RUN_ENGINES.clear()
         _CACHE_HITS = 0
@@ -116,87 +114,31 @@ def engine_mix() -> dict[str, dict]:
     return out
 
 
-def run_design(
-    trace_name: str,
-    design: Design,
-    params: CoreParams = ICELAKE,
-    warmup_fraction: float = 0.3,
-    scale: str | None = None,
-) -> FrontendStats:
-    """Simulate one (app, design) pair, memoised."""
-    global _CACHE_HITS, _CACHE_MISSES
-    scale = scale or current_scale()
-    registry = get_registry()
-    use_cache = cache_enabled()
-    key = (trace_name, scale, design.key, params, warmup_fraction)
-    if use_cache:
-        with _CACHE_LOCK:
-            cached = _RESULT_CACHE.get(key)
-            if cached is not None:
-                _CACHE_HITS += 1
-        if cached is not None:
-            registry.counter(
-                "harness_result_cache_total", "memo-cache lookups by outcome"
-            ).inc(outcome="hit")
-            return cached
-    with _CACHE_LOCK:
-        _CACHE_MISSES += 1
-    # Below the memo: the cross-process disk cache.  A disk hit is still
-    # a memo miss for cache_info(), but costs no simulation -- the
-    # registry counter's "miss" outcome therefore counts *fresh runs*.
-    disk_key = None
-    if use_cache and diskcache.disk_cache_enabled():
-        disk_key = result_store_key(
-            trace_name, design.key, params, warmup_fraction, scale
-        )
-        stats = diskcache.load_result(disk_key)
-        if stats is not None:
-            with _CACHE_LOCK:
-                _RESULT_CACHE[key] = stats
-            registry.counter(
-                "harness_result_cache_total", "memo-cache lookups by outcome"
-            ).inc(outcome="disk-hit")
-            return stats
-    # Below the disk: the cluster-shared result store (when one is
-    # active) -- a hit here is a simulation some other replica (or an
-    # earlier batch run) already paid for.
-    store = resultstore.get_active_store() if use_cache else None
-    if store is not None:
-        store_key = disk_key or result_store_key(
-            trace_name, design.key, params, warmup_fraction, scale
-        )
-        try:
-            stats = store.get_result(store_key)
-        except resultstore.StoreError as error:
-            resultstore.degraded(
-                "get_result", error, app=trace_name, design=design.key
-            )
-            stats = None
-        if stats is not None:
-            with _CACHE_LOCK:
-                _RESULT_CACHE[key] = stats
-            registry.counter(
-                "harness_result_cache_total", "memo-cache lookups by outcome"
-            ).inc(outcome="store-hit")
-            return stats
-    registry.counter(
-        "harness_result_cache_total", "memo-cache lookups by outcome"
-    ).inc(outcome="miss")
+def simulate(ref: ResultRef, design: Design, trace: Trace | None = None) -> FrontendStats:
+    """One fresh simulation of ``ref`` with its run telemetry.
+
+    Touches no cache tier -- callers publish through
+    :func:`repro.experiments.results.put`.  ``trace`` defaults to the
+    suite member ``ref.trace_name``; inline-spec callers pass theirs.
+    """
     tracer = get_tracer()
+    app, scale = ref.trace_name, ref.scale
     started = time.perf_counter()
-    with tracer.span("simulate", app=trace_name, design=design.key, scale=scale):
-        with tracer.span("trace-gen", app=trace_name, scale=scale):
-            trace = get_trace(trace_name, scale)
+    with tracer.span("simulate", app=app, design=design.key, scale=scale):
+        if trace is None:
+            with tracer.span("trace-gen", app=app, scale=scale):
+                trace = get_trace(app, scale)
         btb, simulator_kwargs = design.build()
-        simulator = FrontendSimulator(btb, params=params, **simulator_kwargs)
-        with tracer.span("warmup+measure", app=trace_name, design=design.key):
-            stats = simulator.run(trace, warmup_fraction=warmup_fraction)
+        simulator = FrontendSimulator(btb, params=ref.params, **simulator_kwargs)
+        with tracer.span("warmup+measure", app=app, design=design.key):
+            stats = simulator.run(trace, warmup_fraction=ref.warmup_fraction)
     elapsed = time.perf_counter() - started
     engine = getattr(simulator, "last_engine", "none")
     events_per_sec = float(getattr(stats, "events_per_sec", 0.0))
     with _CACHE_LOCK:
-        _RUN_SECONDS[(trace_name, design.key)] = elapsed
-        _RUN_ENGINES[(trace_name, design.key)] = (engine, events_per_sec)
+        _RUN_SECONDS[(app, design.key)] = elapsed
+        _RUN_ENGINES[(app, design.key)] = (engine, events_per_sec)
+    registry = get_registry()
     registry.histogram(
         "harness_simulation_seconds", "wall seconds per fresh simulation"
     ).observe(elapsed, design=design.key, scale=scale)
@@ -204,28 +146,33 @@ def run_design(
         "harness_engine_runs_total", "fresh simulations by engine tier"
     ).inc(engine=engine)
     obs_events.emit(
-        "harness-run", app=trace_name, design=design.key, scale=scale,
+        "harness-run", app=app, design=design.key, scale=scale,
         seconds=round(elapsed, 6), engine=engine,
         events_per_sec=round(events_per_sec),
     )
-    if use_cache:
-        with _CACHE_LOCK:
-            _RESULT_CACHE[key] = stats
-        if disk_key is not None:
-            diskcache.store_result(disk_key, stats)
-        if store is not None:
-            try:
-                store.put_result(
-                    disk_key
-                    or result_store_key(
-                        trace_name, design.key, params, warmup_fraction, scale
-                    ),
-                    stats,
-                )
-            except resultstore.StoreError as error:
-                resultstore.degraded(
-                    "put_result", error, app=trace_name, design=design.key
-                )
+    return stats
+
+
+def run_design(
+    trace_name: str,
+    design: Design,
+    params: CoreParams = ICELAKE,
+    warmup_fraction: float = 0.3,
+    scale: str | None = None,
+) -> FrontendStats:
+    """Simulate one (app, design) pair, cached through the result chain."""
+    global _CACHE_HITS, _CACHE_MISSES
+    ref = ResultRef(trace_name, scale or current_scale(), design.key, params, warmup_fraction)
+    stats, tier = results.get(ref)
+    # A disk or store hit is still a memo miss for cache_info().
+    with _CACHE_LOCK:
+        if tier == "memo":
+            _CACHE_HITS += 1
+        else:
+            _CACHE_MISSES += 1
+    if stats is None:
+        stats = simulate(ref, design)
+        results.put(ref, stats)
     return stats
 
 
@@ -257,69 +204,16 @@ def lookup_cached(
     warmup_fraction: float = 0.3,
     scale: str | None = None,
 ) -> tuple[FrontendStats | None, str]:
-    """Peek the memo, disk and shared-store caches without simulating.
+    """Peek the result chain without simulating.
 
-    Returns ``(stats, outcome)`` where outcome is ``"memo"``, ``"disk"``,
-    ``"store"`` (a cluster-shared :mod:`resultstore` hit) or ``"miss"``
-    (stats is ``None`` on a miss).  A disk or store hit is promoted
-    into the memo so the next peek is a memo hit.  A shared-store
-    backend failure is recorded (``store_degraded``) and read as a miss
-    -- the caller simulates locally.  Deliberately does not touch
-    :func:`cache_info` telemetry -- that surface counts
-    :func:`run_design` lookups only; the serving layer publishes its own
-    ``serve_cache_outcome_total`` series.
+    Returns ``(stats, outcome)`` with outcome ``"memo"``, ``"disk"``,
+    ``"store"`` or ``"miss"`` (stats ``None``); see
+    :func:`repro.experiments.results.get`.  Does not touch
+    :func:`cache_info`, which counts :func:`run_design` lookups only.
     """
-    scale = scale or current_scale()
-    if not cache_enabled():
-        return None, "miss"
-    key = (trace_name, scale, design.key, params, warmup_fraction)
-    with _CACHE_LOCK:
-        cached = _RESULT_CACHE.get(key)
-    if cached is not None:
-        obs_events.emit(
-            "cache-lookup", layer="memo", app=trace_name,
-            design=design.key, hit=True,
-        )
-        return cached, "memo"
-    if diskcache.disk_cache_enabled():
-        disk_key = result_store_key(
-            trace_name, design.key, params, warmup_fraction, scale
-        )
-        stats = diskcache.load_result(disk_key)
-        if stats is not None:
-            with _CACHE_LOCK:
-                _RESULT_CACHE[key] = stats
-            obs_events.emit(
-                "cache-lookup", layer="disk", app=trace_name,
-                design=design.key, hit=True,
-            )
-            return stats, "disk"
-    store = resultstore.get_active_store()
-    if store is not None:
-        try:
-            stats = store.get_result(
-                result_store_key(
-                    trace_name, design.key, params, warmup_fraction, scale
-                )
-            )
-        except resultstore.StoreError as error:
-            resultstore.degraded(
-                "get_result", error, app=trace_name, design=design.key
-            )
-            stats = None
-        if stats is not None:
-            with _CACHE_LOCK:
-                _RESULT_CACHE[key] = stats
-            obs_events.emit(
-                "cache-lookup", layer="store", app=trace_name,
-                design=design.key, hit=True,
-            )
-            return stats, "store"
-    obs_events.emit(
-        "cache-lookup", layer="all", app=trace_name,
-        design=design.key, hit=False,
+    return results.get(
+        ResultRef(trace_name, scale or current_scale(), design.key, params, warmup_fraction)
     )
-    return None, "miss"
 
 
 def adopt_result(
@@ -331,35 +225,15 @@ def adopt_result(
     scale: str | None = None,
     publish: bool = False,
 ) -> None:
-    """Install an externally-computed result in the memo cache.
-
-    The serving layer's scheduler bridge computes results through
-    :func:`repro.experiments.scheduler.run_grid` (which persists them to
-    the disk cache itself) and adopts them here so later ``run_design``
-    and :func:`lookup_cached` calls memo-hit.  With ``publish=True`` the
-    result is also pushed to the active shared store (idempotent:
-    values are content-addressed, so a re-publish writes identical
-    bytes), making the adoption visible to every replica.
-    """
-    if not cache_enabled():
-        return
-    scale = scale or current_scale()
-    with _CACHE_LOCK:
-        _RESULT_CACHE[(trace_name, scale, design.key, params, warmup_fraction)] = stats
+    """Install an externally-computed result in the memo so later
+    :func:`run_design` and :func:`lookup_cached` calls memo-hit; with
+    ``publish=True`` it goes to every tier of the chain (idempotent:
+    values are content-addressed)."""
+    ref = ResultRef(trace_name, scale or current_scale(), design.key, params, warmup_fraction)
     if publish:
-        store = resultstore.get_active_store()
-        if store is not None:
-            try:
-                store.put_result(
-                    result_store_key(
-                        trace_name, design.key, params, warmup_fraction, scale
-                    ),
-                    stats,
-                )
-            except resultstore.StoreError as error:
-                resultstore.degraded(
-                    "put_result", error, app=trace_name, design=design.key
-                )
+        results.put(ref, stats)
+    else:
+        results.remember(ref, stats)
 
 
 def result_store_key(
@@ -369,24 +243,11 @@ def result_store_key(
     warmup_fraction: float,
     scale: str,
 ) -> str:
-    """The content hash a suite (app, design) result is shared under.
-
-    One key function for all three result tiers -- disk cache, shared
-    store, and the serving layer's single-flight leases -- so a value
-    published anywhere is a hit everywhere.
-    """
-    return diskcache.result_key(
-        trace_name, scale, design_key, params, warmup_fraction,
-        spec=_find_spec(trace_name, scale),
-    )
-
-
-def _find_spec(trace_name: str, scale: str):
-    """The suite spec behind ``trace_name`` (None for ad-hoc traces)."""
-    for spec in build_suite(scale):
-        if spec.name == trace_name:
-            return spec
-    return None
+    """The content hash a suite (app, design) result is shared under --
+    one key for the disk tier, the shared store and the serving layer's
+    single-flight leases, so a value published anywhere is a hit
+    everywhere."""
+    return ResultRef(trace_name, scale, design_key, params, warmup_fraction).key
 
 
 @dataclass
@@ -515,22 +376,22 @@ def _prefill_cache_scheduled(
     scale: str,
     config: "scheduler.SchedulerConfig",
 ) -> None:
-    """Populate the result cache for (suite x designs) via the scheduler.
+    """Populate the result chain for (suite x designs) via the scheduler.
 
-    Pairs already memoised are skipped.  Groups that come back merged
-    feed the memo (and, through the scheduler, the disk cache); groups
+    Pairs the chain already holds are skipped.  Groups that come back
+    merged are published to the chain by ``run_grid`` itself; groups
     with a failed shard are simply *absent* -- the serial loop in
     ``run_suite`` re-runs them inline, and the failure stays on record
     for the report's appendix.
     """
-    skip = set()
-    for design in designs:
-        for spec in build_suite(scale):
-            key = (spec.name, scale, design.key, params[design.key], warmup_fraction)
-            with _CACHE_LOCK:
-                present = key in _RESULT_CACHE
-            if present:
-                skip.add((spec.name, design.key))
+    skip = {
+        (spec.name, design.key)
+        for design in designs
+        for spec in build_suite(scale)
+        if results.get(
+            ResultRef(spec.name, scale, design.key, params[design.key], warmup_fraction)
+        )[0] is not None
+    }
     report = scheduler.run_grid(
         designs,
         params_by_design=params,
@@ -539,13 +400,9 @@ def _prefill_cache_scheduled(
         config=config,
         skip=skip,
     )
-    for (trace_name, design_key), stats in report.merged.items():
-        key = (trace_name, scale, design_key, params[design_key], warmup_fraction)
-        with _CACHE_LOCK:
-            _RESULT_CACHE[key] = stats
-            _RUN_SECONDS[(trace_name, design_key)] = report.group_seconds.get(
-                (trace_name, design_key), 0.0
-            )
+    with _CACHE_LOCK:
+        for group_key in report.merged:
+            _RUN_SECONDS[group_key] = report.group_seconds.get(group_key, 0.0)
 
 
 def format_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:

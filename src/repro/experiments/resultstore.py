@@ -48,7 +48,6 @@ Knobs (all flow through :class:`repro.serve.config.ServeConfig`):
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import socket
@@ -79,11 +78,6 @@ __all__ = [
 ]
 
 
-#: Unique-suffix counter for quarantine/temp names (with the pid,
-#: collision-free across replicas sharing a filesystem).
-_UNIQUE = itertools.count()
-
-
 class StoreError(RuntimeError):
     """A shared-store backend failure (network, protocol, injected).
 
@@ -99,35 +93,15 @@ def default_owner() -> str:
 
 # -- value encoding ----------------------------------------------------------
 #
-# The wire/value format is exactly the disk cache's result JSON, so a
-# DiskStore entry written by this module is indistinguishable from one
-# written by the harness's disk layer, and a Redis value round-trips to
-# the same FrontendStats a direct caller would serialise.
+# The wire/value format is exactly the disk cache's result JSON
+# (:func:`repro.experiments.diskcache.encode_result`), so a DiskStore
+# entry is indistinguishable from one the disk tier wrote, and a Redis
+# value round-trips to the same FrontendStats a direct caller would
+# serialise.  A ``None`` from ``decode_result`` tells the store to
+# quarantine the value and report a miss.
 
-
-def encode_result(stats: FrontendStats) -> bytes:
-    """Canonical bytes for one result (sorted keys, versioned)."""
-    payload = {
-        "result_version": diskcache.RESULT_VERSION,
-        "stats": stats.to_dict(derived=False),
-    }
-    return json.dumps(payload, sort_keys=True).encode()
-
-
-def decode_result(data: bytes) -> FrontendStats | None:
-    """Decode stored bytes; ``None`` marks a corrupt/stale value.
-
-    A ``None`` tells the store to quarantine the value (move it aside /
-    drop it) and report a miss -- one bad entry can never wedge a
-    replica or serve a wrong answer.
-    """
-    try:
-        payload = json.loads(data)
-        if payload.get("result_version") != diskcache.RESULT_VERSION:
-            raise ValueError("result version mismatch")
-        return FrontendStats(**payload["stats"])
-    except Exception:
-        return None
+encode_result = diskcache.encode_result
+decode_result = diskcache.decode_result
 
 
 # -- the protocol ------------------------------------------------------------
@@ -242,36 +216,20 @@ class DiskStore(ResultStore):
     # -- results --
 
     def get_result(self, key: str) -> FrontendStats | None:
-        path = self._result_path(key)
         try:
-            data = path.read_bytes()
+            stats = diskcache.read_result(self._result_path(key))
         except FileNotFoundError:
             return None
         except OSError as error:
             raise StoreError(f"disk read failed: {error}") from error
-        stats = decode_result(data)
         if stats is None:
-            self._quarantine(path)
-            return None
+            with self._counter:
+                self._quarantined += 1
         return stats
 
-    def _quarantine(self, path: Path) -> None:
-        with self._counter:
-            self._quarantined += 1
-        target = path.parent / f"{path.name}.corrupt-{os.getpid()}-{next(_UNIQUE)}"
-        try:
-            os.replace(path, target)
-        except OSError:
-            pass  # a concurrent replica already moved or replaced it
-
     def put_result(self, key: str, stats: FrontendStats) -> None:
-        path = self._result_path(key)
-        data = encode_result(stats)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            diskcache.write_result(self._result_path(key), stats)
         except OSError as error:
             raise StoreError(f"disk write failed: {error}") from error
 
@@ -788,8 +746,9 @@ def reset_fakes() -> None:
 # -- the active store --------------------------------------------------------
 #
 # One process-wide store, installed by the serving layer at boot (or by
-# tests), consulted by the harness's cache-lookup path.  Mirrors the
-# obs registry/event-log pattern: a None store disables the tier.
+# tests): the store tier of the result chain (repro.experiments.results).
+# Mirrors the obs registry/event-log pattern: a None store disables the
+# tier.
 
 _ACTIVE: ResultStore | None = None
 _ACTIVE_LOCK = threading.Lock()

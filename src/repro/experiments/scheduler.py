@@ -56,7 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import IO, Any
 
-from repro.experiments import diskcache
+from repro.experiments import diskcache, results
 from repro.experiments.designs import Design
 from repro.frontend.params import CoreParams, ICELAKE
 from repro.frontend.simulator import FrontendSimulator
@@ -727,13 +727,6 @@ def _execute_parallel(
 # -- the grid entry point ----------------------------------------------------
 
 
-def _find_spec(trace_name: str, scale: str):
-    for spec in build_suite(scale):
-        if spec.name == trace_name:
-            return spec
-    return None
-
-
 def build_shard_tasks(
     designs: list[Design],
     params_by_design: dict[str, CoreParams],
@@ -885,8 +878,8 @@ def run_grid(
     report.failures = sweep.failures
     report.counters = sweep.counters
 
-    # Merge complete groups and persist them under the unsharded key so
-    # a future unsharded run of the same grid disk-hits immediately.
+    # Merge complete groups and publish them to the result chain under
+    # the unsharded key, so a future unsharded run disk-hits immediately.
     groups: dict[tuple[str, str], list[ShardTask]] = {}
     for task in tasks:
         groups.setdefault(task.group, []).append(task)
@@ -908,15 +901,12 @@ def run_grid(
         merged = FrontendStats.merge(parts)
         report.merged[group_key] = merged
         report.group_seconds[group_key] = seconds
-        if diskcache.disk_cache_enabled():
-            trace_name, design_key = group_key
-            spec = _find_spec(trace_name, scale)
-            params = params_by_design.get(design_key, ICELAKE)
-            diskcache.store_result(
-                diskcache.result_key(
-                    trace_name, scale, design_key, params, warmup_fraction,
-                    spec=spec,
-                ),
-                merged,
-            )
+        trace_name, design_key = group_key
+        results.put(
+            results.ResultRef(
+                trace_name, scale, design_key,
+                params_by_design.get(design_key, ICELAKE), warmup_fraction,
+            ),
+            merged,
+        )
     return report

@@ -2,9 +2,9 @@
 
 ``python -m repro serve`` boots an asyncio HTTP/JSON service (stdlib
 only) that validates simulation requests against the design registry,
-answers from the harness memo / disk cache when warm, and micro-batches
-cold requests that share a trace before bridging them to the shard
-scheduler on a worker thread.  ``python -m repro submit`` and
+answers from the result chain (memo, disk cache, shared store) when
+warm, and micro-batches cold requests that share a trace into one
+in-process simulation pass on a worker thread.  ``python -m repro submit`` and
 :mod:`repro.serve.client` are the matching blocking clients.
 
 See README "Serving the simulator" and DESIGN.md §10.

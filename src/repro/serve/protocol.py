@@ -29,12 +29,11 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.frontend.params import ICELAKE, CoreParams
 from repro.frontend.stats import FrontendStats
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.suite import SCALES, build_suite, current_scale
+from repro.workloads.suite import SCALES, current_scale, suite_spec
 
 __all__ = [
     "RequestError",
@@ -98,11 +97,6 @@ class SimJob:
     def group_key(self) -> tuple[str, str]:
         """Jobs with one group key share a trace (and a micro-batch)."""
         return (self.spec_digest or self.trace_name, self.scale)
-
-
-@lru_cache(maxsize=None)
-def _suite_names(scale: str) -> frozenset[str]:
-    return frozenset(spec.name for spec in build_suite(scale))
 
 
 _SPEC_FIELDS = {field.name: field for field in dataclasses.fields(WorkloadSpec)}
@@ -212,7 +206,7 @@ def parse_request(
     if app is not None:
         if not isinstance(app, str):
             raise RequestError("bad-field", "app must be a string")
-        if app not in _suite_names(scale):
+        if suite_spec(app, scale) is None:
             raise RequestError(
                 "unknown-app", f"no workload named {app!r} at scale {scale!r}"
             )

@@ -197,11 +197,25 @@ def build_suite(scale: str | None = None) -> list[WorkloadSpec]:
 
 
 @lru_cache(maxsize=None)
+def _suite_index(scale: str) -> dict[str, WorkloadSpec]:
+    return {spec.name: spec for spec in build_suite(scale)}
+
+
+def suite_spec(name: str, scale: str) -> WorkloadSpec | None:
+    """The suite member called ``name`` at ``scale`` (None: not a member).
+
+    The suite is built once per scale; every later lookup is one dict
+    probe, which is what keeps result-key hashing off the hot path.
+    """
+    return _suite_index(scale).get(name)
+
+
+@lru_cache(maxsize=None)
 def _cached_trace(name: str, scale: str) -> Trace:
-    for spec in build_suite(scale):
-        if spec.name == name:
-            return _generate_or_load(spec)
-    raise KeyError(f"no workload named {name!r} at scale {scale!r}")
+    spec = suite_spec(name, scale)
+    if spec is None:
+        raise KeyError(f"no workload named {name!r} at scale {scale!r}")
+    return _generate_or_load(spec)
 
 
 def _generate_or_load(spec) -> Trace:

@@ -84,8 +84,8 @@ def _expected_payloads(pairs) -> dict[tuple[str, str], bytes]:
 def test_concurrent_responses_byte_identical_to_direct_run():
     pairs = [(APP, design) for design in DESIGNS]
     expected = _expected_payloads(pairs)
-    # Forget everything so the service simulates fresh through the
-    # scheduler bridge (comparing a memo hit with itself proves nothing).
+    # Forget everything so the service simulates fresh (comparing a
+    # memo hit with itself proves nothing).
     harness.clear_cache()
     suite._cached_trace.cache_clear()
 
@@ -133,9 +133,10 @@ def test_batch_shares_one_decode_across_cold_requests():
 
 
 def test_group_pass_and_scheduler_bridge_byte_identical(monkeypatch):
-    """Cold suite batches run as one in-process vectorised group pass by
-    default, and bridge to the shard scheduler under REPRO_SCHED_*; both
-    paths must serialise exactly what a direct harness caller would."""
+    """Cold suite batches run as one in-process vectorised group pass,
+    and the service ignores the shard scheduler's REPRO_SCHED_* knobs:
+    with REPRO_SCHED_WORKERS=2 exported it still takes that one path,
+    and both runs serialise exactly what a direct harness caller would."""
     pairs = [(APP, design) for design in DESIGNS]
     expected = _expected_payloads(pairs)
 
@@ -435,6 +436,60 @@ def test_inline_spec_requests_are_served_and_cached():
         assert excinfo.value.code == "bad-field"
     finally:
         handle.shutdown()
+
+
+def test_result_cache_knob_off_applies_to_inline_specs(monkeypatch, tmp_path):
+    """``REPRO_RESULT_CACHE=0`` turns the whole result chain off for
+    inline specs exactly as for suite jobs: a repeat is simulated again,
+    and nothing lands in the disk tier."""
+    from repro.workloads.spec import WorkloadSpec
+
+    monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
+    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
+    monkeypatch.setenv("REPRO_DISK_CACHE_DIR", str(tmp_path / "serve-cache"))
+    spec = WorkloadSpec(name="adhoc_knob", category="Server", seed=7,
+                        n_events=2000)
+    handle = serve_in_thread(_config(max_events=10_000))
+    try:
+        client = ServeClient(port=handle.port)
+        first = client.simulate(design="baseline", spec=spec)
+        again = client.simulate(design="baseline", spec=spec)
+        assert first.outcome == "fresh"
+        assert again.outcome == "fresh"
+        assert again.body == first.body
+        assert handle.service.counters["fresh_jobs"] == 2
+    finally:
+        handle.shutdown()
+    assert not list((tmp_path / "serve-cache").rglob("results/*.json"))
+
+
+def test_inline_job_emits_run_telemetry():
+    """A fresh inline-spec job simulates through the harness compute, so
+    it leaves the same run record a suite job does."""
+    from repro.obs.metrics import MetricsRegistry, use_registry
+    from repro.workloads.spec import WorkloadSpec
+
+    spec = WorkloadSpec(name="adhoc_telemetry", category="Server", seed=11,
+                        n_events=2000)
+    design_key = design_registry()["baseline"].key
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        handle = serve_in_thread(_config(max_events=10_000))
+        try:
+            response = ServeClient(port=handle.port).simulate(
+                design="baseline", spec=spec
+            )
+            runs = handle.service.events.recent(event="harness-run")
+        finally:
+            handle.shutdown()
+    assert response.outcome == "fresh"
+    assert len(runs) == 1
+    assert runs[0]["app"] == "adhoc_telemetry"
+    assert runs[0]["design"] == design_key
+    assert runs[0]["engine"] in ("vector", "fast", "general")
+    assert registry.get("harness_simulation_seconds").count(
+        design=design_key, scale=SCALE
+    ) == 1
 
 
 # -- observability -----------------------------------------------------------
