@@ -43,8 +43,6 @@ class BaselineBTB(BranchTargetPredictor):
             (Section 5.6 runs with indirects served by ITTAGE instead).
     """
 
-    supports_fast_path = True
-
     def __init__(
         self,
         entries: int = 4096,

@@ -36,9 +36,6 @@ class GhrpBTB(BaselineBTB):
         history_bits: global branch-history bits mixed into signatures.
     """
 
-    # The inherited fast hooks would skip signature/history training.
-    supports_fast_path = False
-
     def __init__(
         self,
         *args,

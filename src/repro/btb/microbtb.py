@@ -16,9 +16,10 @@ predictors) because victim filling needs eviction visibility: the L1
 must hand its evicted entry to the LLBTB, which a generic wrapper
 cannot see.
 
-Engine support: general only.  The inherited fast hooks cannot express
-the promotion/victim-fill traffic between the levels, so the class opts
-out of the fast and vector tiers exactly like
+Engine support: general only.  The vector engine has no kernel for the
+promotion/victim-fill traffic between the levels, and
+:func:`~repro.btb.vectorops.vector_supported` matches exact types, so
+the class runs on the general engine exactly like
 :class:`~repro.btb.ghrp.GhrpBTB`; the seed referee passes instances
 through unchanged, which is what the differential tests lean on.
 """
@@ -60,11 +61,6 @@ class MicroBTB(BranchTargetPredictor):
         allocate_indirect: when False, indirect branches are not stored
             (ITTAGE setups).
     """
-
-    #: General engine only -- the decoded-trace fast hooks cannot express
-    #: victim-fill/promotion traffic between the levels (same opt-out
-    #: pattern as GhrpBTB).
-    supports_fast_path = False
 
     def __init__(
         self,

@@ -27,8 +27,9 @@ The model layers over any inner predictor (Baseline or PDede here):
 Only direct branches participate: indirect targets and returns are not
 recoverable from instruction bytes.
 
-Engine support: general only (same opt-out as GhrpBTB) -- the fast
-hooks cannot see fetch-line adjacency, which is the whole mechanism.
+Engine support: general only (like GhrpBTB, it is not a type
+:func:`~repro.btb.vectorops.vector_supported` accepts) -- the vector
+kernels cannot see fetch-line adjacency, which is the whole mechanism.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ class ShadowBTB(BranchTargetPredictor):
             oldest line is forgotten first (the line map stands in for
             "instruction bytes still in the I-cache").
     """
-
-    #: General engine only -- fast hooks cannot express fetch-line
-    #: adjacency (the same documented opt-out as GhrpBTB).
-    supports_fast_path = False
 
     def __init__(
         self,

@@ -75,13 +75,6 @@ class TwoLevelBTB(BranchTargetPredictor):
 
     # -- fast hooks (decoded-trace engine) -----------------------------------
 
-    @property
-    def supports_fast_path(self) -> bool:
-        """Fast only when both levels implement the fast hooks."""
-        return getattr(self.level0, "supports_fast_path", False) and getattr(
-            self.level1, "supports_fast_path", False
-        )
-
     def observe_fast(
         self,
         pc: int,

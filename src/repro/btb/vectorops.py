@@ -62,8 +62,8 @@ def vector_supported(btb) -> bool:
     """Whether :func:`make_vector_ops` has an exact kernel for ``btb``.
 
     Exact types only: a subclass may override update behaviour the
-    kernels replicate (``GhrpBTB`` does), so anything unrecognised falls
-    back to the fast scalar engine.
+    kernels replicate (``GhrpBTB`` does), so anything unrecognised runs
+    on the general per-event engine.
     """
     if type(btb) is BaselineBTB or type(btb) is PDedeBTB:
         return True

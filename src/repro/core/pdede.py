@@ -70,11 +70,6 @@ class PDedeBTB(BranchTargetPredictor):
             :class:`~repro.core.config.PDedeConfig`.
     """
 
-    #: The flat-storage fast hooks (``observe_fast`` and friends) are
-    #: exact replications of lookup/update; the simulator's fast engine
-    #: keys off this.
-    supports_fast_path = True
-
     def __init__(self, config: PDedeConfig | None = None) -> None:
         super().__init__()
         self.config = config or PDedeConfig()
@@ -371,8 +366,8 @@ class PDedeBTB(BranchTargetPredictor):
         """`lookup` on a precomputed hash; returns ``(target, hit, latency)``.
 
         Exact state evolution of :meth:`lookup` minus the BTBLookup
-        allocation; the simulator's fast engine (and
-        ``TwoLevelBTB.observe_fast``) is the only caller.
+        allocation; ``TwoLevelBTB.observe_fast`` (which the vector
+        engine replays at boundary events) is the only caller.
         """
         pending = self._pending_next_offset
         pending_tag = self._pending_next_tag
@@ -421,8 +416,8 @@ class PDedeBTB(BranchTargetPredictor):
     ) -> None:
         """`update` on precomputed hash and page bits (no event object).
 
-        The sanitizer hook is omitted: the fast engine only runs with the
-        sanitizer disarmed (the simulator gates on it).
+        The sanitizer hook is omitted: the vector engine only runs with
+        the sanitizer disarmed (the simulator gates on it).
         """
         self.stats.updates += 1
         if not taken:

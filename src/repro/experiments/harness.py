@@ -94,7 +94,7 @@ def slowest_runs(n: int = 5) -> list[tuple[str, str, float]]:
 def engine_mix() -> dict[str, dict]:
     """Fresh simulations grouped by engine tier, with median throughput.
 
-    Keyed by tier (``vector`` / ``fast`` / ``general``); each value
+    Keyed by engine (``vector`` / ``general``); each value
     carries the run count and the median raw events/sec the tier
     sustained -- the report's telemetry appendix renders this so a
     design accidentally falling off the vector path is visible.

@@ -87,13 +87,14 @@ class FrontendSimulator:
             the mispredicted path on execute-stage flushes, polluting the
             ICache (the paper notes this effect of BTB misses
             qualitatively; off by default).
-        engine: ``"auto"`` (default) picks the fastest applicable tier
-            (vector > fast > general); ``"vector"``/``"fast"`` force a
-            tier and raise ``ValueError`` at :meth:`run` when the
-            configuration cannot use it; ``"general"`` always applies.
+        engine: ``"auto"`` (default) runs the columnar ``"vector"``
+            engine when the configuration allows it and ``"general"``
+            otherwise; ``"vector"`` forces the columnar engine and raises
+            ``ValueError`` at :meth:`run` when the configuration cannot
+            use it; ``"general"`` always applies.
     """
 
-    _ENGINES = ("auto", "vector", "fast", "general")
+    _ENGINES = ("auto", "vector", "general")
 
     def __init__(
         self,
@@ -123,8 +124,7 @@ class FrontendSimulator:
         self.engine = engine
         self._has_run = False
         #: Which engine the most recent :meth:`run` used ("vector" for
-        #: the columnar engine, "fast" for the decoded-trace loop,
-        #: "general" otherwise).
+        #: the columnar engine, "general" otherwise).
         self.last_engine = "none"
 
     def run(
@@ -140,12 +140,13 @@ class FrontendSimulator:
         the same role at trace scale.
 
         Two engines produce the same ``FrontendStats`` bit for bit (the
-        equivalence suite is the referee): a *fast* engine driven by the
-        trace's precomputed :class:`~repro.workloads.decoded.DecodedTrace`
-        columns, used when the configuration allows it, and the
-        *general* per-event engine that handles every configuration
-        (ITTAGE, wrong-path modelling, custom predictors, armed
-        sanitizer, reused simulators).
+        equivalence suite is the referee): the columnar *vector* engine
+        (:mod:`repro.frontend.vector`) driven by the trace's precomputed
+        :class:`~repro.workloads.decoded.DecodedTrace` columns, used when
+        the configuration allows it, and the *general* per-event engine
+        that handles every configuration (ITTAGE, wrong-path modelling,
+        custom predictors, designs without struct-of-arrays kernels,
+        armed sanitizer, reused simulators).
 
         Args:
             measure_range: simulate one *shard* of the trace -- replay
@@ -156,8 +157,8 @@ class FrontendSimulator:
                 :meth:`FrontendStats.merge` reproduces the unsharded
                 result exactly.  Overrides ``warmup_fraction``.  A shard
                 run is one-shot: post-run structure state is not
-                meaningful (the fast engine skips its end-of-trace state
-                adoption) and a subsequent ``run`` falls back to the
+                meaningful (the vector engine skips its end-of-trace
+                state adoption) and a subsequent ``run`` falls back to the
                 general engine like any reused simulator.
         """
         if not 0.0 <= warmup_fraction < 1.0:
@@ -171,28 +172,18 @@ class FrontendSimulator:
                 )
         engine = self.engine
         if engine == "auto":
-            if self._vector_path_applicable():
-                engine = "vector"
-            elif self._fast_path_applicable():
-                engine = "fast"
-            else:
-                engine = "general"
+            engine = "vector" if self._vector_path_applicable() else "general"
         elif engine == "vector" and not self._vector_path_applicable():
             raise ValueError(
                 "vector engine not applicable to this configuration "
-                "(requires cold structures, fast-path support, and a "
-                "vector-capable BTB)"
+                "(requires cold structures and a vector-capable BTB)"
             )
-        elif engine == "fast" and not self._fast_path_applicable():
-            raise ValueError("fast engine not applicable to this configuration")
         self.last_engine = engine
         started = time.perf_counter()
         if engine == "vector":
             from repro.frontend.vector import run_vector
 
             stats = run_vector(self, trace, warmup_fraction, measure_range)
-        elif engine == "fast":
-            stats = self._run_fast(trace, warmup_fraction, measure_range)
         else:
             stats = self._run_general(trace, warmup_fraction, measure_range)
         elapsed = time.perf_counter() - started
@@ -221,35 +212,25 @@ class FrontendSimulator:
             return "tage-default"
         return None
 
-    def _fast_path_applicable(self) -> bool:
-        """Whether the decoded-trace engine reproduces this configuration.
+    def _vector_path_applicable(self) -> bool:
+        """Whether the columnar vector engine reproduces this configuration.
 
-        The fast engine precomputes direction outcomes and ICache misses
-        from cold state, so it only applies to a simulator's first run
-        with cold structures; anything it cannot replicate exactly
-        (ITTAGE, wrong-path pollution, an armed sanitizer, a
-        caller-supplied predictor) falls back to the general engine.
+        The vector engine replays direction outcomes, ICache misses and
+        the call/return stream from cold state, so it only applies to a
+        simulator's first run with cold structures and a pristine RAS,
+        and only to designs with exact struct-of-arrays kernels
+        (:func:`~repro.btb.vectorops.vector_supported`).  Anything it
+        cannot replicate exactly (ITTAGE, wrong-path pollution, an armed
+        sanitizer, a caller-supplied predictor, a design without
+        kernels) falls back to the general engine.
         """
         return (
             not self._has_run
             and self.ittage is None
             and not self.model_wrong_path
             and self.icache.accesses == 0
-            and getattr(self.btb, "supports_fast_path", False)
             and not get_sanitizer().enabled
             and self._direction_signature() is not None
-        )
-
-    def _vector_path_applicable(self) -> bool:
-        """Whether the columnar vector engine reproduces this configuration.
-
-        Everything the fast engine needs, plus a design with exact
-        struct-of-arrays kernels and a pristine RAS (the vector engine
-        replays the call/return stream from cold state, like the ICache
-        and direction columns).
-        """
-        return (
-            self._fast_path_applicable()
             and self.ras.pushes == 0
             and self.ras.pops == 0
             and len(self.ras) == 0
@@ -451,278 +432,6 @@ class FrontendSimulator:
             btb_resteer_ticks,
             bad_speculation_ticks,
         )
-        return stats
-
-    def _run_fast(
-        self,
-        trace: Trace,
-        warmup_fraction: float,
-        measure_range: tuple[int, int] | None = None,
-    ) -> FrontendStats:
-        """Decoded-column engine; bit-identical to :meth:`_run_general`.
-
-        Per-event work that is trace-pure (hashing, page compare, block
-        geometry, ICache reference stream, direction outcome) comes from
-        the trace's cached :class:`DecodedTrace`; per-event BTB work goes
-        through one combined ``observe_fast`` call; accounting runs on
-        integer-tick locals and is flushed once at the end.
-        """
-        params = self.params
-        decoded = trace.decoded()
-        n_events = decoded.n_events
-        if measure_range is None:
-            warm_limit = int(n_events * warmup_fraction)
-            stop = n_events
-        else:
-            warm_limit, stop = measure_range
-        tick = params.cycle_tick
-        supply_col, demand_col = decoded.supply_demand_ticks(
-            tick // params.fetch_width, tick // params.commit_width
-        )
-        icache_col, icache_final = decoded.icache_misses(
-            params.icache_kib, params.icache_line_bytes, params.icache_ways
-        )
-        signature = self._direction_signature()
-        if signature == "perfect":
-            direction_col: list[bool] = [True] * n_events
-            direction_final = None
-        else:
-            direction_col, direction_final = decoded.direction_outcomes(signature)
-
-        slack = 0
-        slack_max = exact_ticks(params.max_slack_cycles, tick)
-        miss_ticks = params.icache_miss_cycles * tick
-        overlap_ticks = exact_ticks(_OVERLAPPED_MISS_CYCLES, tick)
-        refill_shadow = exact_ticks(params.resteer_refill_cycles, tick)
-        decode_penalty = params.decode_resteer_cycles * tick + refill_shadow
-        execute_penalty = params.execute_resteer_cycles * tick + refill_shadow
-        measuring = warm_limit == 0
-        blocks_since_resteer = _REFILL_WINDOW
-
-        btb = self.btb
-        observe_fast = btb.observe_fast
-        ras = self.ras
-        ras_pop = ras.pop
-        ras_push = ras.push
-        returns_use_ras = self.returns_use_ras
-        is_call_by_kind = _IS_CALL
-        is_indirect_by_kind = _IS_INDIRECT
-        kind_return = _KIND_RETURN
-
-        # FrontendStats fields, accumulated in integer-tick locals (the
-        # same exact sums as the general engine, in any order).
-        instructions = 0
-        cycles_ticks = 0
-        base_cycles_ticks = 0
-        icache_stall_ticks = 0
-        btb_bubble_ticks = 0
-        btb_resteer_ticks = 0
-        bad_speculation_ticks = 0
-        branches = 0
-        taken_branches = 0
-        btb_miss_count = 0
-        decode_resteers = 0
-        execute_resteers = 0
-        direction_mispredicts = 0
-        indirect_mispredicts = 0
-        ras_mispredicts = 0
-        icache_miss_count = 0
-        extra_latency_lookups = 0
-        # BTBStats.record_outcome fields (everything else in BTBStats is
-        # maintained live inside observe_fast).
-        lookups = 0
-        taken_lookups = 0
-        lookup_hits = 0
-        lookup_misses = 0
-        wrong_target = 0
-        miss_kind_counts = [0] * len(_KINDS)
-
-        for index, (
-            pc,
-            kind_value,
-            taken,
-            target,
-            block_instructions,
-            supply_base,
-            demand,
-            icache_misses,
-            hashed,
-            is_same_page,
-            direction_correct,
-        ) in islice(
-            enumerate(
-                zip(
-                    trace.pcs,
-                    trace.kinds,
-                    trace.takens,
-                    trace.targets,
-                    decoded.block_instructions,
-                    supply_col,
-                    demand_col,
-                    icache_col,
-                    decoded.hashes,
-                    decoded.same_page,
-                    direction_col,
-                )
-            ),
-            stop,
-        ):
-            if not measuring and index >= warm_limit:
-                measuring = True
-                btb.reset_stats()
-                lookups = 0
-                taken_lookups = 0
-                lookup_hits = 0
-                lookup_misses = 0
-                wrong_target = 0
-                miss_kind_counts = [0] * len(_KINDS)
-            if icache_misses:
-                if blocks_since_resteer < _REFILL_WINDOW:
-                    icache_cost = icache_misses * miss_ticks
-                else:
-                    icache_cost = icache_misses * overlap_ticks
-            else:
-                icache_cost = 0
-
-            penalty = 0
-            bubble = 0
-            resteer_kind = 0
-            btb_miss = False
-            indirect_mispredict = False
-            ras_mispredict = False
-            direction_mispredict = False
-
-            if kind_value == kind_return and returns_use_ras:
-                if ras_pop() != target:
-                    ras_mispredict = True
-                    penalty = execute_penalty
-                    resteer_kind = 2
-            else:
-                if is_call_by_kind[kind_value]:
-                    ras_push(pc + _INSTR_BYTES)
-                kind_is_indirect = is_indirect_by_kind[kind_value]
-                ltarget, lhit, latency = observe_fast(
-                    pc, target, taken, kind_is_indirect, hashed, is_same_page
-                )
-                lookups += 1
-                if taken:
-                    taken_lookups += 1
-                    if ltarget == target:
-                        lookup_hits += 1
-                    else:
-                        lookup_misses += 1
-                        if lhit:
-                            wrong_target += 1
-                        miss_kind_counts[kind_value] += 1
-                        btb_miss = True
-                if not direction_correct:
-                    direction_mispredict = True
-                    penalty = execute_penalty
-                    resteer_kind = 2
-                elif taken and btb_miss:
-                    if kind_is_indirect or kind_value == kind_return:
-                        if kind_is_indirect:
-                            indirect_mispredict = True
-                        penalty = execute_penalty
-                        resteer_kind = 2
-                    else:
-                        penalty = decode_penalty
-                        resteer_kind = 1
-                elif taken and latency > 1:
-                    bubble = (latency - 1) * tick
-
-            supply = supply_base + icache_cost + bubble
-            effective = supply - slack
-            if effective > demand:
-                block_cycles = effective
-                slack = 0
-            else:
-                block_cycles = demand
-                slack = slack + demand - supply
-                if slack > slack_max:
-                    slack = slack_max
-            if penalty:
-                slack = 0
-                blocks_since_resteer = 0
-            else:
-                blocks_since_resteer += 1
-
-            if not measuring:
-                continue
-
-            instructions += block_instructions
-            cycles_ticks += block_cycles + penalty
-            base_cycles_ticks += demand
-            overrun = block_cycles - demand
-            if overrun > 0:
-                icache_part = icache_cost if icache_cost < overrun else overrun
-                icache_stall_ticks += icache_part
-                rest = overrun - icache_part
-                btb_bubble_ticks += bubble if bubble < rest else rest
-            icache_miss_count += icache_misses
-            branches += 1
-            if taken:
-                taken_branches += 1
-            if btb_miss:
-                btb_miss_count += 1
-            if resteer_kind == 1:
-                decode_resteers += 1
-                btb_resteer_ticks += penalty
-            elif resteer_kind == 2:
-                execute_resteers += 1
-                bad_speculation_ticks += penalty
-            if direction_mispredict:
-                direction_mispredicts += 1
-            if indirect_mispredict:
-                indirect_mispredicts += 1
-            if ras_mispredict:
-                ras_mispredicts += 1
-            if bubble:
-                extra_latency_lookups += 1
-
-        stats = FrontendStats(
-            instructions=instructions,
-            branches=branches,
-            taken_branches=taken_branches,
-            btb_misses=btb_miss_count,
-            decode_resteers=decode_resteers,
-            execute_resteers=execute_resteers,
-            direction_mispredicts=direction_mispredicts,
-            indirect_mispredicts=indirect_mispredicts,
-            ras_mispredicts=ras_mispredicts,
-            icache_misses=icache_miss_count,
-            extra_latency_lookups=extra_latency_lookups,
-        )
-        stats.set_cycle_buckets(
-            tick,
-            cycles_ticks,
-            base_cycles_ticks,
-            icache_stall_ticks,
-            btb_bubble_ticks,
-            btb_resteer_ticks,
-            bad_speculation_ticks,
-        )
-        btb_stats = btb.stats
-        btb_stats.lookups += lookups
-        btb_stats.taken_lookups += taken_lookups
-        btb_stats.hits += lookup_hits
-        btb_stats.misses += lookup_misses
-        btb_stats.wrong_target += wrong_target
-        misses_by_kind = btb_stats.misses_by_kind
-        for kind_value, count in enumerate(miss_kind_counts):
-            if count:
-                name = _KIND_NAMES[kind_value]
-                misses_by_kind[name] = misses_by_kind.get(name, 0) + count
-        # Adopt the replayed end-of-trace structure states so post-run
-        # inspection (snapshots, a later general-engine run) matches a
-        # live run; the cached replay objects themselves stay pristine.
-        # A shard run stops mid-trace, where the replayed finals do not
-        # describe the stopping point -- shard runs are one-shot, so the
-        # structures are simply left untouched.
-        if stop == n_events:
-            self.icache = icache_final.clone()
-            if direction_final is not None:
-                self.direction = direction_final.clone()
         return stats
 
     def publish_metrics(self, stats: FrontendStats, registry=None, app: str = "?") -> None:

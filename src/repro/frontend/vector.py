@@ -1,8 +1,9 @@
 """Columnar frontend engine: chunked vector lookups + resteer-segment replay.
 
-Third engine tier of :class:`repro.frontend.simulator.FrontendSimulator`
-(``general`` -> ``fast`` -> ``vector``), bit-identical to both by
-construction and by the equivalence suite.  Two phases:
+The decoded-trace engine of :class:`repro.frontend.simulator.FrontendSimulator`
+(the other live engine is the per-event ``general`` loop), bit-identical
+to it and to the frozen seed referee by construction and by the
+equivalence suite.  Two phases:
 
 **Phase 1 -- BTB pass.**  The trace is consumed in adaptively-sized
 chunks.  Each chunk gets one struct-of-arrays BTB lookup over the
@@ -53,9 +54,9 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
     """Run one simulation on the vector engine; returns FrontendStats.
 
     ``sim`` is the :class:`FrontendSimulator` (the caller has already
-    checked ``_vector_path_applicable``); semantics mirror ``_run_fast``
-    exactly, including warm-crossing stats resets, shard measure ranges,
-    and end-of-trace structure adoption on full runs.
+    checked ``_vector_path_applicable``); semantics mirror ``_run_general``
+    exactly, including warm-crossing stats resets and shard measure
+    ranges, and full runs adopt the replayed end-of-trace structures.
     """
     from repro.frontend.simulator import (
         _OVERLAPPED_MISS_CYCLES,
@@ -314,9 +315,12 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
             name = _KIND_NAMES[kind_value]
             misses_by_kind[name] = misses_by_kind.get(name, 0) + count
 
-    # Adopt replayed end-of-trace structure state on full runs, exactly
-    # like the fast engine (shard runs are one-shot and leave the
-    # structures untouched).
+    # Adopt replayed end-of-trace structure state on full runs so post-run
+    # inspection (snapshots, a later general-engine run) matches a live
+    # run; the cached replay objects themselves stay pristine.  Shard runs
+    # stop mid-trace, where the replayed finals do not describe the
+    # stopping point -- they are one-shot and leave the structures
+    # untouched.
     if stop == n_events:
         sim.icache = icache_final.clone()
         if direction_final is not None:

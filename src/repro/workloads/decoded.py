@@ -13,8 +13,10 @@ Two kinds of columns:
 
 * **vectorised** -- pure element-wise functions of the event columns
   (block instructions/starts, hashes, page bits, kind property bytes),
-  computed with numpy and materialised as plain lists (CPython iterates
-  lists faster than ndarrays, and the hot loop wants native ints);
+  computed with numpy; the columns the vector engine's scalar boundary
+  replay indexes per event are also materialised as plain lists
+  (CPython indexes lists faster than ndarrays, and ``observe_fast``
+  wants native ints);
 * **replayed** -- sequential state machines that are nevertheless
   independent of the BTB under test: the ICache miss count per event
   (the *cost* of a miss depends on resteer proximity, but whether a line
@@ -22,7 +24,7 @@ Two kinds of columns:
   outcome per conditional (direction state never observes the BTB).
   Replays reuse the real model classes, so the columns are correct by
   construction, and keep the final state object so a simulator can adopt
-  it after a fast run.
+  it after a full vector run.
 
 Everything here is derived, deterministic data; the equivalence suite
 (``tests/test_engine_equivalence.py``) checks the decoded engine against
@@ -90,7 +92,6 @@ class DecodedTrace:
         "_takens",
         "_kinds",
         "_targets",
-        "_supply_demand",
         "_icache",
         "_direction",
         "_raw",
@@ -114,7 +115,6 @@ class DecodedTrace:
         self._takens: list[bool] = []
         self._kinds: list[int] = []
         self._targets: list[int] = []
-        self._supply_demand: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         self._icache: dict[tuple[int, int, int], tuple[list[int], ICache]] = {}
         self._direction: dict[str, tuple[list[bool], object]] = {}
         # Vectorised-engine columns (numpy mirrors of the list columns),
@@ -209,7 +209,15 @@ class DecodedTrace:
     def supply_demand_arrays(
         self, fetch_tick: int, commit_tick: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`supply_demand_ticks` as int64 arrays (vector engine)."""
+        """Per-event supply/demand in integer ticks, as int64 arrays.
+
+        ``fetch_tick``/``commit_tick`` are the per-instruction tick
+        weights ``cycle_tick // fetch_width`` and
+        ``cycle_tick // commit_width`` (exact by construction of
+        :attr:`repro.frontend.params.CoreParams.cycle_tick`), so the
+        int64 multiply is exact -- bit-identical to the per-event Python
+        multiply and associative under sharded summation.
+        """
         key = (fetch_tick, commit_tick)
         cached = self._supply_demand_arrays.get(key)
         if cached is None:
@@ -279,30 +287,6 @@ class DecodedTrace:
 
     # -- replayed / per-configuration columns -------------------------------
 
-    def supply_demand_ticks(
-        self, fetch_tick: int, commit_tick: int
-    ) -> tuple[list[int], list[int]]:
-        """Per-event supply/demand in integer ticks.
-
-        ``fetch_tick``/``commit_tick`` are the per-instruction tick
-        weights ``cycle_tick // fetch_width`` and
-        ``cycle_tick // commit_width`` (exact by construction of
-        :attr:`repro.frontend.params.CoreParams.cycle_tick`), so the
-        vectorised int64 multiply is exact -- bit-identical to the
-        per-event Python multiply and associative under sharded
-        summation.
-        """
-        key = (fetch_tick, commit_tick)
-        cached = self._supply_demand.get(key)
-        if cached is None:
-            instructions = np.array(self.block_instructions, dtype=np.int64)
-            cached = (
-                (instructions * fetch_tick).tolist(),
-                (instructions * commit_tick).tolist(),
-            )
-            self._supply_demand[key] = cached
-        return cached
-
     def icache_misses(
         self, size_kib: int, line_bytes: int, ways: int
     ) -> tuple[list[int], ICache]:
@@ -312,7 +296,7 @@ class DecodedTrace:
         event -- does not depend on the BTB under test (only the *charge*
         per miss does), so a single replay of the real :class:`ICache`
         serves every design.  The returned cache is the end-of-trace
-        state; a fast run deep-copies it into the simulator so post-run
+        state; a full vector run clones it into the simulator so post-run
         inspection matches a live run.
         """
         key = (size_kib, line_bytes, ways)

@@ -4,6 +4,7 @@ the same final state as an event-by-event live run."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.branch.address import hash_pc, same_page
@@ -53,13 +54,13 @@ def test_kind_property_columns(trace, decoded):
     assert decoded.is_indirect == [kind.is_indirect for kind in kinds]
 
 
-def test_supply_demand_ticks_are_exact_multiples(decoded):
-    supply, demand = decoded.supply_demand_ticks(10, 16)
-    assert supply == [count * 10 for count in decoded.block_instructions]
-    assert demand == [count * 16 for count in decoded.block_instructions]
-    assert all(isinstance(value, int) for value in supply[:64])
-    assert decoded.supply_demand_ticks(10, 16) is decoded.supply_demand_ticks(10, 16)
-    assert decoded.supply_demand_ticks(5, 16)[0] != supply
+def test_supply_demand_arrays_are_exact_multiples(decoded):
+    supply, demand = decoded.supply_demand_arrays(10, 16)
+    assert supply.tolist() == [count * 10 for count in decoded.block_instructions]
+    assert demand.tolist() == [count * 16 for count in decoded.block_instructions]
+    assert supply.dtype == np.int64 and demand.dtype == np.int64
+    assert decoded.supply_demand_arrays(10, 16) is decoded.supply_demand_arrays(10, 16)
+    assert decoded.supply_demand_arrays(5, 16)[0].tolist() != supply.tolist()
 
 
 def test_icache_misses_match_live_replay(trace, decoded):

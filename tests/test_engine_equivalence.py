@@ -1,7 +1,8 @@
-"""The decoded-trace engine is an *optimisation*, not a model change:
-for every design it must reproduce the frozen seed engine's
-FrontendStats exactly (``to_dict()`` equality -- bit-identical floats,
-not approximate), and it must engage exactly when its gate says it can.
+"""The vector engine is an *optimisation*, not a model change: for
+every design it must reproduce the frozen seed engine's FrontendStats
+exactly (``to_dict()`` equality -- bit-identical floats, not
+approximate), and it must engage exactly when its gate says it can.
+The general engine is held to the same referee.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import pytest
 
 from repro.checks.sanitizer import Sanitizer, use_sanitizer
 from repro.experiments.designs import (
+    design_registry,
     pdede_design,
     standard_designs,
     two_level_design,
@@ -44,7 +46,7 @@ def _run_both(design, trace, engine="auto"):
     return simulator, stats, seed_stats
 
 
-@pytest.mark.parametrize("engine", ["vector", "fast"])
+@pytest.mark.parametrize("engine", ["vector", "general"])
 @pytest.mark.parametrize("key", sorted(_designs()))
 def test_decoded_engines_match_seed_exactly(key, engine):
     trace = get_trace(TRACE_APP, TRACE_SCALE)
@@ -61,6 +63,39 @@ def test_auto_prefers_vector_engine(key):
     assert stats.to_dict() == seed_stats.to_dict()
 
 
+#: The engine ``engine="auto"`` picks for every registered design: the
+#: flat-storage Baseline/PDede geometries have struct-of-arrays kernels,
+#: everything else runs on the general engine.
+AUTO_ENGINE_BY_DESIGN = {
+    "baseline": "vector",
+    "baseline-6144": "vector",
+    "baseline-8192": "vector",
+    "pdede-default": "vector",
+    "pdede-multi-target": "vector",
+    "pdede-multi-entry": "vector",
+    "partition-only": "vector",
+    "dedup-only": "general",
+    "shotgun": "general",
+    "micro-btb": "general",
+    "shadow-baseline": "general",
+    "shadow-pdede": "general",
+}
+
+
+def test_auto_engine_table_covers_the_registry():
+    assert set(AUTO_ENGINE_BY_DESIGN) == set(design_registry())
+
+
+@pytest.mark.parametrize("key", sorted(AUTO_ENGINE_BY_DESIGN))
+def test_auto_engine_resolution_per_registered_design(key):
+    trace = get_trace(TRACE_APP, TRACE_SCALE)
+    btb, kwargs = design_registry()[key].build()
+    simulator = FrontendSimulator(btb, **kwargs)
+    stats = simulator.run(trace, warmup_fraction=0.3)
+    assert simulator.last_engine == AUTO_ENGINE_BY_DESIGN[key]
+    assert stats.engine == AUTO_ENGINE_BY_DESIGN[key]
+
+
 def test_ittage_falls_back_to_general_engine_and_still_matches():
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = with_ittage(standard_designs()["pdede-default"])
@@ -71,7 +106,7 @@ def test_ittage_falls_back_to_general_engine_and_still_matches():
 
 def test_warmup_zero_matches_seed():
     # warmup_fraction=0 hits the seed's warm_limit==0 quirk: stats are
-    # never reset, so the fast loop must not reset them either.
+    # never reset, so the vector engine must not reset them either.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = standard_designs()["pdede-default"]
     btb, kwargs = design.build()
@@ -86,7 +121,7 @@ def test_warmup_zero_matches_seed():
 
 
 def test_second_run_uses_general_engine():
-    # A reused simulator carries state from the first run; the fast
+    # A reused simulator carries state from the first run; the vector
     # engine's replay assumptions only hold from a pristine start.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     btb, kwargs = standard_designs()["baseline"].build()
@@ -98,8 +133,9 @@ def test_second_run_uses_general_engine():
 
 
 def test_armed_sanitizer_forces_general_engine():
-    # The fast BTB hooks skip sanitizer_step (they are gated on the
-    # sanitizer being off); an armed sanitizer must see the full loop.
+    # The BTB fast hooks the vector engine replays skip sanitizer_step
+    # (they are gated on the sanitizer being off); an armed sanitizer
+    # must see the full loop.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     btb, kwargs = standard_designs()["pdede-default"].build()
     simulator = FrontendSimulator(btb, **kwargs)
@@ -109,21 +145,21 @@ def test_armed_sanitizer_forces_general_engine():
 
 
 def test_post_run_state_matches_live_objects():
-    # The fast engine adopts clones of the shared replay state; the
+    # The vector engine adopts clones of the shared replay state; the
     # post-run icache/direction must look exactly like a live run's.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = standard_designs()["pdede-default"]
     btb, kwargs = design.build()
-    fast = FrontendSimulator(btb, **kwargs)
-    fast.run(trace, warmup_fraction=0.3)
+    vector = FrontendSimulator(btb, **kwargs)
+    vector.run(trace, warmup_fraction=0.3)
     seed_btb, seed_kwargs = design.build()
     general = SeedFrontendSimulator(seed_counterpart(seed_btb), **seed_kwargs)
     general.run(trace, warmup_fraction=0.3)
-    assert fast.icache.accesses == general.icache.accesses
-    assert fast.icache.misses == general.icache.misses
-    assert fast.icache._lines == general.icache._lines
-    assert fast.direction._history == general.direction._history
-    assert fast.direction._rng_state == general.direction._rng_state
+    assert vector.icache.accesses == general.icache.accesses
+    assert vector.icache.misses == general.icache.misses
+    assert vector.icache._lines == general.icache._lines
+    assert vector.direction._history == general.direction._history
+    assert vector.direction._rng_state == general.direction._rng_state
 
 
 def test_btb_metrics_match_between_engines():
@@ -239,18 +275,15 @@ def _shrink_prefix(design, spec, failing_length: int, engine="auto") -> int:
 
 @pytest.mark.parametrize("fuzz_seed", range(N_FUZZ_SWEEPS))
 def test_differential_fuzz_engines_agree(fuzz_seed):
-    # "auto" resolves to the best applicable tier (vector for most
-    # designs, general for ittage); the explicit "fast" pass keeps the
-    # middle tier under differential pressure even though auto now
-    # prefers the vector engine.
+    # "auto" resolves to the best applicable engine (vector for most
+    # designs, general for ittage); the explicit "general" pass keeps
+    # the per-event engine under differential pressure on every design,
+    # so each seed drives both live engines against the referee.
     spec = _fuzz_spec(fuzz_seed)
     design_key, design = _fuzz_design(fuzz_seed)
     trace = generate_trace(spec)
-    for engine in ("auto", "fast"):
-        try:
-            diff = _diff_fields(design, trace, engine=engine)
-        except ValueError:
-            continue  # tier not applicable to this design
+    for engine in ("auto", "general"):
+        diff = _diff_fields(design, trace, engine=engine)
         if diff:
             shrunk = _shrink_prefix(design, spec, len(trace), engine=engine)
             raise AssertionError(
@@ -276,11 +309,11 @@ def test_fuzz_sweep_is_deterministic():
 
 # -- literature families (general engine only) -------------------------------
 #
-# MicroBTB and ShadowBTB opt out of the decoded-trace tiers
-# (supports_fast_path = False, like GhrpBTB): victim-fill/promotion and
-# fetch-line exposure are invisible to the fast hooks.  Auto must route
-# them to the general engine, forced fast/vector must refuse, and the
-# general engine must still match the frozen seed referee exactly.
+# MicroBTB and ShadowBTB have no struct-of-arrays kernels (like GhrpBTB,
+# vector_supported rejects them): victim-fill/promotion and fetch-line
+# exposure are invisible to the vector engine.  Auto must route them to
+# the general engine, a forced vector run must refuse, and the general
+# engine must still match the frozen seed referee exactly.
 
 from repro.experiments.designs import micro_btb_design, shadow_design
 
@@ -302,7 +335,7 @@ def test_literature_families_fall_back_to_general_and_match_seed(key):
     assert stats.to_dict() == seed_stats.to_dict()
 
 
-@pytest.mark.parametrize("engine", ["vector", "fast"])
+@pytest.mark.parametrize("engine", ["vector"])
 @pytest.mark.parametrize("key", sorted(_literature_designs()))
 def test_literature_families_refuse_forced_fast_tiers(key, engine):
     trace = get_trace(TRACE_APP, TRACE_SCALE)

@@ -317,10 +317,11 @@ def test_convert_cli_rejects_out_of_envelope_input(tmp_path, capsys):
 def test_new_families_match_seed_engine_on_the_sample_trace(design_key):
     """The acceptance criterion: the shipped capture simulates
     byte-identically between the auto-selected engine and the frozen
-    seed referee for both new families.  Both classes opt out of the
-    fast/vector tiers (``supports_fast_path = False``), so auto resolves
-    to the general engine -- the documented equivalent of cross-engine
+    seed referee for both new families.  Neither class has vector
+    kernels (``vector_supported`` is False), so auto resolves to the
+    general engine -- the documented equivalent of cross-engine
     byte-identity for these designs."""
+    from repro.btb.vectorops import vector_supported
     from repro.experiments import design_registry
     from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
     from repro.frontend.simulator import FrontendSimulator
@@ -330,7 +331,7 @@ def test_new_families_match_seed_engine_on_the_sample_trace(design_key):
     design = design_registry()[design_key]
 
     btb, kwargs = design.build()
-    assert not getattr(btb, "supports_fast_path", True)
+    assert vector_supported(btb) is False
     simulator = FrontendSimulator(btb, **kwargs)
     live = simulator.run(trace, warmup_fraction=0.3)
     assert simulator.last_engine == "general"

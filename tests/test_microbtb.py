@@ -3,6 +3,9 @@
 import pytest
 
 from repro.btb.microbtb import MicroBTB
+from repro.btb.vectorops import vector_supported
+from repro.frontend.simulator import FrontendSimulator
+from repro.workloads.suite import get_trace
 
 from conftest import make_event, synthetic_branch_set
 
@@ -185,4 +188,8 @@ def test_bad_geometry_is_rejected(kwargs, match):
 
 
 def test_opts_out_of_fast_engines():
-    assert MicroBTB.supports_fast_path is False
+    btb = MicroBTB()
+    assert vector_supported(btb) is False
+    simulator = FrontendSimulator(btb)
+    simulator.run(get_trace("server_oltp_00", "tiny"))
+    assert simulator.last_engine == "general"

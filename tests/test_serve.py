@@ -486,7 +486,7 @@ def test_inline_job_emits_run_telemetry():
     assert len(runs) == 1
     assert runs[0]["app"] == "adhoc_telemetry"
     assert runs[0]["design"] == design_key
-    assert runs[0]["engine"] in ("vector", "fast", "general")
+    assert runs[0]["engine"] in ("vector", "general")
     assert registry.get("harness_simulation_seconds").count(
         design=design_key, scale=SCALE
     ) == 1

@@ -5,6 +5,9 @@ import pytest
 from repro.branch.types import BranchKind
 from repro.btb.baseline import BaselineBTB
 from repro.btb.shadow import ShadowBTB
+from repro.btb.vectorops import vector_supported
+from repro.frontend.simulator import FrontendSimulator
+from repro.workloads.suite import get_trace
 
 from conftest import make_event
 
@@ -149,4 +152,8 @@ def test_bad_geometry_is_rejected(kwargs, match):
 
 
 def test_opts_out_of_fast_engines():
-    assert ShadowBTB.supports_fast_path is False
+    btb = ShadowBTB(BaselineBTB())
+    assert vector_supported(btb) is False
+    simulator = FrontendSimulator(btb)
+    simulator.run(get_trace("server_oltp_00", "tiny"))
+    assert simulator.last_engine == "general"

@@ -118,9 +118,9 @@ def test_measure_range_edges_inside_replayed_segments(monkeypatch, bounds):
     vec = FrontendSimulator(btb, engine="vector", **kwargs)
     shard = vec.run(trace, measure_range=bounds)
     btb, kwargs = design.build()
-    fast = FrontendSimulator(btb, engine="fast", **kwargs)
-    fast_shard = fast.run(trace, measure_range=bounds)
-    assert shard.to_dict() == fast_shard.to_dict()
+    general = FrontendSimulator(btb, engine="general", **kwargs)
+    general_shard = general.run(trace, measure_range=bounds)
+    assert shard.to_dict() == general_shard.to_dict()
 
 
 def test_sharded_vector_run_merges_to_seed_run():
@@ -146,6 +146,17 @@ def test_unknown_engine_rejected_at_construction():
     btb, kwargs = standard_designs()["baseline"].build()
     with pytest.raises(ValueError, match="unknown engine"):
         FrontendSimulator(btb, engine="warp", **kwargs)
+
+
+def test_removed_fast_engine_name_rejected():
+    # A retired engine name is rejected like any unknown one, with the
+    # valid options in the message.
+    removed = "fast"
+    btb, kwargs = standard_designs()["baseline"].build()
+    with pytest.raises(
+        ValueError, match=r"options: \('auto', 'vector', 'general'\)"
+    ):
+        FrontendSimulator(btb, engine=removed, **kwargs)
 
 
 def test_forced_vector_rejects_inapplicable_design():
