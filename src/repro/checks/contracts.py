@@ -15,7 +15,8 @@ code        name                        catches
                                         in README.md / DESIGN.md
 ``REP203``  undeclared-metric           ``counter/gauge/histogram("name")``
                                         not in :data:`METRIC_CATALOG`
-``REP204``  undeclared-event            ``emit("name")`` not in
+``REP204``  undeclared-event            ``emit("name")`` or
+                                        ``span("name")`` not in
                                         :data:`EVENT_CATALOG`
 ``REP205``  unused-knob                 runtime knob declared here but read
                                         nowhere in the source tree
@@ -128,8 +129,10 @@ METRIC_CATALOG = frozenset(
     }
 )
 
-#: Every event name the code emits; ``obs.aggregate`` joins on these
-#: (``respond`` carries latency; the rest are per-request hops).
+#: Every event and span name the code records; ``obs.aggregate`` joins
+#: on these (``respond`` carries latency; ``harness-run``,
+#: ``trace-gen``, ``warmup+measure``, ``scheduler-grid`` and
+#: ``experiment`` are spans; the rest are per-request hops).
 EVENT_CATALOG = frozenset(
     {
         "admit",
@@ -138,6 +141,9 @@ EVENT_CATALOG = frozenset(
         "cache",
         "respond",
         "harness-run",
+        "trace-gen",
+        "warmup+measure",
+        "experiment",
         "cache-lookup",
         "disk-result",
         "scheduler-grid",
@@ -147,6 +153,7 @@ EVENT_CATALOG = frozenset(
 
 _KNOB_LITERAL_RE = re.compile(r"^REPRO_[A-Z0-9_]+$")
 _METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
+_EVENT_RECORDERS = frozenset({"emit", "span"})
 
 #: Modules whose knob-name literals are declarations, not reads.
 _SELF_MODULES = frozenset({"repro.checks.contracts"})
@@ -248,8 +255,8 @@ def run_contracts(
                     "in sync",
                 )
             )
-        for node, _method, name in _literal_calls(
-            info.tree, frozenset({"emit"}), frozenset({"emit"})
+        for node, method, name in _literal_calls(
+            info.tree, _EVENT_RECORDERS, _EVENT_RECORDERS
         ):
             if name in events:
                 continue
@@ -261,8 +268,9 @@ def run_contracts(
                     node.lineno,
                     node.col_offset,
                     "REP204",
-                    f"event '{name}' is not in EVENT_CATALOG; declare it so "
-                    "obs.aggregate and /debug/trace consumers stay in sync",
+                    f"event '{name}' ({method}) is not in EVENT_CATALOG; "
+                    "declare it so obs.aggregate and /debug/trace "
+                    "consumers stay in sync",
                 )
             )
 

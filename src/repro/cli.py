@@ -20,8 +20,10 @@ Commands:
 
 ``simulate``, ``experiment``, and ``report`` share the observability
 flags (README "Observability"): ``--metrics-out FILE.json`` dumps the
-metrics-registry snapshot, ``--trace-out FILE.jsonl`` dumps the span
-tree, ``--progress`` streams span completions to stderr.  ``simulate``
+metrics-registry snapshot, ``--trace-out FILE.jsonl`` writes the event
+stream (span and hop records), ``--progress`` streams span completions
+to stderr, ``--trace-memory`` adds ``tracemalloc`` peaks to the span
+records; ``serve`` takes ``--metrics-out`` only.  ``simulate``
 and ``experiment`` also take ``--sanitize`` (README "Static checks &
 sanitizer") to run with the microarchitectural invariant checker armed.
 
@@ -43,8 +45,8 @@ import os
 import sys
 
 from repro.experiments import design_registry, run_design
+from repro.obs.events import EventLog, use_event_log
 from repro.obs.metrics import enable_metrics, use_registry
-from repro.obs.tracing import NullTracer, Tracer, use_tracer
 from repro.workloads.suite import SCALES, build_suite
 
 
@@ -567,15 +569,17 @@ def _add_scheduler_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
+def _add_obs_flags(parser: argparse.ArgumentParser, spans: bool = True) -> None:
     group = parser.add_argument_group("observability")
     group.add_argument(
         "--metrics-out", metavar="FILE.json", default=None,
         help="dump the metrics-registry snapshot as JSON",
     )
+    if not spans:
+        return
     group.add_argument(
         "--trace-out", metavar="FILE.jsonl", default=None,
-        help="dump the span trace as JSONL (one span per line)",
+        help="write the event stream as JSONL (one span or hop per line)",
     )
     group.add_argument(
         "--progress", action="store_true",
@@ -758,7 +762,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: REPRO_SERVE_EVENTS or unset)")
     # --metrics-out enables the recording registry, so /metrics serves a
     # live snapshot and the file is written after the drain completes.
-    _add_obs_flags(serve)
+    # The span flags stay off serve: its records go to the service's own
+    # log (--events-out), and tracemalloc peaks are process-wide, so they
+    # mean nothing per span across concurrent worker threads.
+    _add_obs_flags(serve, spans=False)
 
     submit = sub.add_parser(
         "submit", help="submit one request to a running service",
@@ -852,6 +859,10 @@ def _scheduling(args: argparse.Namespace):
         scheduler.configure(None)
 
 
+#: Record fields ``--progress`` leaves off its status lines.
+_SPAN_FIELDS = frozenset({"ts", "event", "rid", "span", "parent", "depth", "seconds"})
+
+
 @contextlib.contextmanager
 def _observability(args: argparse.Namespace):
     """Scope the obs flags: enable, run, dump to the requested sinks."""
@@ -859,36 +870,39 @@ def _observability(args: argparse.Namespace):
     trace_out = getattr(args, "trace_out", None)
     progress = getattr(args, "progress", False)
     trace_memory = getattr(args, "trace_memory", False)
-    want_tracing = bool(trace_out or progress or trace_memory)
     with contextlib.ExitStack() as stack:
         registry = None
         if metrics_out:
             registry = stack.enter_context(use_registry(enable_metrics()))
-        tracer = NullTracer()
-        if want_tracing:
-            tracer = stack.enter_context(
-                use_tracer(Tracer(trace_memory=trace_memory))
-            )
+        if trace_out or progress or trace_memory:
+            if trace_out:
+                open(trace_out, "w").close()  # the sink appends
+            log = stack.enter_context(use_event_log(EventLog(sink_path=trace_out)))
+            stack.callback(log.close)
             if progress:
-                def _line(span):
-                    if span.depth <= 1:
+                def _line(record):
+                    if "span" in record and record["depth"] <= 1:
                         attrs = " ".join(
-                            f"{k}={v}" for k, v in span.attrs.items()
+                            f"{k}={v}" for k, v in record.items()
+                            if k not in _SPAN_FIELDS
                         )
-                        print(f"  [{span.seconds:7.2f}s] {span.name} {attrs}",
-                              file=sys.stderr)
-                tracer.on_close = _line
+                        print(f"  [{record['seconds']:7.2f}s] {record['event']} "
+                              f"{attrs}", file=sys.stderr)
+                log.on_record = _line
+        if trace_memory:
+            import tracemalloc
+
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+                stack.callback(tracemalloc.stop)
         try:
             yield
         finally:
             if metrics_out and registry is not None:
                 registry.dump(metrics_out)
                 print(f"wrote {metrics_out}", file=sys.stderr)
-            if trace_out:
-                tracer.write_jsonl(trace_out)
-                print(f"wrote {trace_out}", file=sys.stderr)
-            if want_tracing:
-                tracer.close()
+    if trace_out:
+        print(f"wrote {trace_out}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

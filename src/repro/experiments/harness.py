@@ -33,7 +33,6 @@ from repro.frontend.simulator import FrontendSimulator
 from repro.frontend.stats import FrontendStats
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import get_tracer
 from repro.workloads.suite import build_suite, current_scale, get_trace
 from repro.workloads.trace import Trace
 from repro.experiments import results, scheduler
@@ -121,20 +120,23 @@ def simulate(ref: ResultRef, design: Design, trace: Trace | None = None) -> Fron
     :func:`repro.experiments.results.put`.  ``trace`` defaults to the
     suite member ``ref.trace_name``; inline-spec callers pass theirs.
     """
-    tracer = get_tracer()
     app, scale = ref.trace_name, ref.scale
     started = time.perf_counter()
-    with tracer.span("simulate", app=app, design=design.key, scale=scale):
+    with obs_events.span(
+        "harness-run", app=app, design=design.key, scale=scale
+    ) as run:
         if trace is None:
-            with tracer.span("trace-gen", app=app, scale=scale):
+            with obs_events.span("trace-gen", app=app, scale=scale):
                 trace = get_trace(app, scale)
         btb, simulator_kwargs = design.build()
         simulator = FrontendSimulator(btb, params=ref.params, **simulator_kwargs)
-        with tracer.span("warmup+measure", app=app, design=design.key):
+        with obs_events.span("warmup+measure", app=app, design=design.key):
             stats = simulator.run(trace, warmup_fraction=ref.warmup_fraction)
+        engine = getattr(simulator, "last_engine", "none")
+        events_per_sec = float(getattr(stats, "events_per_sec", 0.0))
+        run["engine"] = engine
+        run["events_per_sec"] = round(events_per_sec)
     elapsed = time.perf_counter() - started
-    engine = getattr(simulator, "last_engine", "none")
-    events_per_sec = float(getattr(stats, "events_per_sec", 0.0))
     with _CACHE_LOCK:
         _RUN_SECONDS[(app, design.key)] = elapsed
         _RUN_ENGINES[(app, design.key)] = (engine, events_per_sec)
@@ -145,11 +147,6 @@ def simulate(ref: ResultRef, design: Design, trace: Trace | None = None) -> Fron
     registry.counter(
         "harness_engine_runs_total", "fresh simulations by engine tier"
     ).inc(engine=engine)
-    obs_events.emit(
-        "harness-run", app=app, design=design.key, scale=scale,
-        seconds=round(elapsed, 6), engine=engine,
-        events_per_sec=round(events_per_sec),
-    )
     return stats
 
 

@@ -48,11 +48,13 @@ Knobs (all flow through :class:`repro.serve.config.ServeConfig`):
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 from urllib.parse import urlsplit
@@ -185,12 +187,13 @@ class DiskStore(ResultStore):
     result published by one serve replica is a plain disk-cache hit for
     a batch ``repro experiment`` run on the same host, and vice versa.
 
-    Leases are lock files at ``<root>/leases/<key>.json`` created with
-    ``O_CREAT | O_EXCL`` (the filesystem's compare-and-set).  Takeover
-    of an expired lease renames the stale lock to a unique name first;
-    ``os.rename`` hands the stale file to exactly one taker, so two
-    replicas racing on the same orphan cannot both win the subsequent
-    exclusive create.
+    Leases are files at ``<root>/leases/<key>.json``.  Every lease
+    read-modify-write (acquire, renew, release) runs under an exclusive
+    ``flock`` on ``<root>/leases/.guard``, which makes it a
+    compare-and-set across threads and processes; the kernel drops the
+    lock when its holder dies.  Lease files are replaced atomically, so
+    a reader never sees a torn one.  An expired lease is simply
+    overwritten by the next acquirer.
     """
 
     kind = "disk"
@@ -248,67 +251,57 @@ class DiskStore(ResultStore):
         except FileNotFoundError:
             return None
         except Exception:
-            # A torn lock write is treated as expired: it can only have
-            # come from a crashed claimant mid-publish.
+            # An unreadable lease is treated as expired: lease files are
+            # replaced atomically, so only outside damage leaves one.
             return "", 0.0
 
-    def acquire_lease(self, key: str, owner: str, ttl: float) -> bool:
+    @contextmanager
+    def _guarded(self, key: str):
+        """Hold the leases-directory ``flock``; yields the lease path."""
         path = self._lease_path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
+            guard = open(path.parent / ".guard", "a")
         except OSError as error:
-            raise StoreError(f"disk lease mkdir failed: {error}") from error
-        lease = self._read_lease(path)
-        if lease is not None:
-            held_owner, expires = lease
-            if expires > self._now():
-                return False
-            # Expired: rename the orphan aside.  Exactly one taker wins
-            # the rename; the loser sees FileNotFoundError and falls
-            # through to the exclusive create (which the winner's fresh
-            # lock then defeats).
-            stale = path.parent / f"{path.name}.stale-{os.getpid()}-{threading.get_ident()}"
-            try:
-                os.rename(path, stale)
-                stale.unlink()
-            except OSError:
-                pass
-        payload = json.dumps({"owner": owner, "expires": self._now() + ttl})
-        try:
-            handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        except OSError as error:
-            raise StoreError(f"disk lease create failed: {error}") from error
-        try:
-            os.write(handle, payload.encode())
-        finally:
-            os.close(handle)
-        return True
+            raise StoreError(f"disk lease guard failed: {error}") from error
+        with guard:
+            fcntl.flock(guard, fcntl.LOCK_EX)
+            yield path
 
-    def renew_lease(self, key: str, owner: str, ttl: float) -> bool:
-        path = self._lease_path(key)
-        lease = self._read_lease(path)
-        if lease is None or lease[0] != owner or lease[1] <= self._now():
-            return False
+    def _write_lease(self, path: Path, owner: str, ttl: float) -> None:
         payload = json.dumps({"owner": owner, "expires": self._now() + ttl})
-        tmp = path.parent / f"{path.name}.renew-{os.getpid()}-{threading.get_ident()}"
+        tmp = path.parent / f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
         try:
             tmp.write_text(payload)
             os.replace(tmp, path)
         except OSError as error:
-            raise StoreError(f"disk lease renew failed: {error}") from error
+            raise StoreError(f"disk lease write failed: {error}") from error
+
+    def acquire_lease(self, key: str, owner: str, ttl: float) -> bool:
+        with self._guarded(key) as path:
+            lease = self._read_lease(path)
+            if lease is not None and lease[1] > self._now():
+                return False
+            self._write_lease(path, owner, ttl)
+        return True
+
+    def renew_lease(self, key: str, owner: str, ttl: float) -> bool:
+        with self._guarded(key) as path:
+            lease = self._read_lease(path)
+            if lease is None or lease[0] != owner or lease[1] <= self._now():
+                return False
+            self._write_lease(path, owner, ttl)
         return True
 
     def release_lease(self, key: str, owner: str) -> None:
-        path = self._lease_path(key)
-        lease = self._read_lease(path)
-        if lease is None or lease[0] != owner:
-            return
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        with self._guarded(key) as path:
+            lease = self._read_lease(path)
+            if lease is None or lease[0] != owner:
+                return
+            try:
+                path.unlink()
+            except OSError:
+                pass
 
     def lease_owner(self, key: str) -> str | None:
         lease = self._read_lease(self._lease_path(key))

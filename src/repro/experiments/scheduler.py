@@ -63,7 +63,6 @@ from repro.frontend.simulator import FrontendSimulator
 from repro.frontend.stats import FrontendStats
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import get_tracer
 from repro.workloads.suite import build_suite, current_scale, get_trace
 
 __all__ = [
@@ -844,16 +843,15 @@ def run_grid(
         else:
             pending.append(task)
 
-    tracer = get_tracer()
     use_fork = config.workers > 1 and hasattr(os, "fork")
-    with tracer.span(
-        "scheduler-sweep",
+    with obs_events.span(
+        "scheduler-grid",
         tasks=len(tasks),
         resumed=len(preloaded),
         workers=config.workers if use_fork else 1,
         shards=config.shards,
         scale=scale,
-    ):
+    ) as grid:
         if use_fork and pending:
             sweep = _execute_parallel(pending, config, runner)
         else:
@@ -863,16 +861,8 @@ def run_grid(
         sweep.counters["tasks"] = len(tasks)
         sweep.log({"event": "summary", **sweep.counters})
         sweep.close()
+        grid["failures"] = len(sweep.failures)
     _accumulate_session_counters(sweep.counters)
-    obs_events.emit(
-        "scheduler-grid",
-        tasks=len(tasks),
-        resumed=len(preloaded),
-        workers=config.workers if use_fork else 1,
-        shards=config.shards,
-        scale=scale,
-        failures=len(sweep.failures),
-    )
 
     report.shard_results = sweep.results
     report.failures = sweep.failures

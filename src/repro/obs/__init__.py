@@ -1,4 +1,4 @@
-"""Observability layer: metrics, span tracing, and request events.
+"""Observability layer: metrics and the event stream.
 
 A dependency-free instrumentation substrate for the simulator stack:
 
@@ -6,14 +6,14 @@ A dependency-free instrumentation substrate for the simulator stack:
   labels (and bucket-interpolated percentiles), published by the
   frontend simulator, the BTB designs, the ICache, the RAS, and the
   experiment harness;
-* :mod:`repro.obs.tracing` -- nested wall-clock spans (optionally with
-  ``tracemalloc`` peaks) around trace generation, simulation, and the
-  report sections, with a JSONL sink and a human tree renderer;
-* :mod:`repro.obs.events` -- flat per-request event log (bounded ring
-  + JSONL sink) keyed by correlation id, driving `/debug/trace` and
-  the serve telemetry report (:mod:`repro.obs.aggregate`).
+* :mod:`repro.obs.events` -- one flat record stream (bounded ring +
+  JSONL sink) keyed by correlation id: instantaneous hops via ``emit``
+  and timed, nested phases via ``span`` (harness runs, trace
+  generation, scheduler grids, report sections).  It drives
+  ``--trace-out``, `/debug/trace` and the serve telemetry report
+  (:mod:`repro.obs.aggregate`).
 
-All three default to shared null objects, so instrumented code pays
+Both default to shared null objects, so instrumented code pays
 ~nothing until ``python -m repro ... --metrics-out/--trace-out/
 --progress`` / ``repro serve`` (or a test) enables them.  See README
 "Observability" for the metric naming scheme and example output.
@@ -29,6 +29,7 @@ from repro.obs.events import (
     events_enabled,
     get_event_log,
     new_request_id,
+    span,
     use_event_log,
 )
 from repro.obs.metrics import (
@@ -43,17 +44,6 @@ from repro.obs.metrics import (
     metrics_enabled,
     use_registry,
 )
-from repro.obs.tracing import (
-    NullTracer,
-    Span,
-    Tracer,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    read_jsonl,
-    tracing_enabled,
-    use_tracer,
-)
 
 __all__ = [
     "EventLog",
@@ -65,6 +55,7 @@ __all__ = [
     "events_enabled",
     "get_event_log",
     "new_request_id",
+    "span",
     "use_event_log",
     "Counter",
     "Gauge",
@@ -76,13 +67,4 @@ __all__ = [
     "get_registry",
     "metrics_enabled",
     "use_registry",
-    "NullTracer",
-    "Span",
-    "Tracer",
-    "disable_tracing",
-    "enable_tracing",
-    "get_tracer",
-    "read_jsonl",
-    "tracing_enabled",
-    "use_tracer",
 ]

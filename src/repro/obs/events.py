@@ -1,13 +1,17 @@
-"""Structured request-event log: bounded ring buffer + JSONL sink.
+"""Structured event log: bounded ring buffer + JSONL sink.
 
-The third leg of the observability layer, next to
-:mod:`repro.obs.metrics` (aggregates) and :mod:`repro.obs.tracing`
-(nested wall-clock spans).  Where a span tree describes one *process
-phase*, the event log describes one *request*: every hop a serve
-request takes through admission, batch formation, execution, the cache
-hierarchy, and the response is one flat, timestamped record tagged with
-the request's **correlation id**, so a slow or failed request can be
-reconstructed hop-by-hop long after it completed.
+The second leg of the observability layer, next to
+:mod:`repro.obs.metrics` (aggregates).  Every record is one flat,
+timestamped dict tagged with the **correlation id** of the request that
+caused it, so a slow or failed request can be reconstructed from one
+record stream long after it completed.  Records come two ways:
+
+* :func:`emit` -- an instantaneous hop (admission, batch formation,
+  a cache lookup, the response);
+* :func:`span` -- a timed phase (a harness run, trace generation, a
+  scheduler grid, a report section), emitted once when it closes with
+  its own ``span`` id, the ``parent`` span open around it, and its
+  ``seconds``.
 
 Design constraints (matching ``repro.obs.metrics``):
 
@@ -28,9 +32,11 @@ Design constraints (matching ``repro.obs.metrics``):
 Correlation ids travel two ways: explicitly (``emit(..., rid=...)``
 where the caller knows the request) and via **context binding**
 (:func:`bind_rids`), which lets deep layers -- the harness, the disk
-cache, the shard scheduler -- tag their events with the requests of the
+cache, the shard scheduler -- tag their records with the requests of the
 batch currently executing on their thread without threading ids through
-every call signature.
+every call signature.  Open spans live in a context variable next to
+the binding, so concurrent asyncio tasks and threads each keep their
+own parentage.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import os
 import queue
 import threading
 import time
+import tracemalloc
 from collections import deque
 from contextlib import contextmanager
 
@@ -56,11 +63,14 @@ __all__ = [
     "events_enabled",
     "get_event_log",
     "new_request_id",
+    "span",
     "use_event_log",
 ]
 
-#: Default ring capacity -- at ~6 hops per serve request this holds the
-#: last ~680 requests, plenty for a `/debug/trace` postmortem.
+#: Default ring capacity -- at ~6 records per warm serve request and ~9
+#: per cold one (its harness-run and warmup+measure spans included) this
+#: holds the last ~450-680 requests, plenty for a `/debug/trace`
+#: postmortem.
 DEFAULT_CAPACITY = 4096
 
 #: Per-process correlation-id sequence (the pid prefix keeps ids unique
@@ -71,6 +81,28 @@ _RID_COUNTER = itertools.count(1)
 #: or worker thread); deep layers read these via :func:`current_rids`.
 _BOUND_RIDS: contextvars.ContextVar[tuple[str, ...]] = contextvars.ContextVar(
     "repro_obs_bound_rids", default=()
+)
+
+#: Per-process span id sequence.
+_SPAN_IDS = itertools.count(1)
+
+
+class _OpenSpan:
+    """One open :func:`span`: its id, nesting depth and the traced-memory
+    peak (bytes) banked so far."""
+
+    __slots__ = ("id", "depth", "peak")
+
+    def __init__(self, parent: _OpenSpan | None) -> None:
+        self.id = next(_SPAN_IDS)
+        self.depth = parent.depth + 1 if parent else 0
+        self.peak = 0
+
+
+#: The innermost open span of the current context; spans opened under
+#: it record its id as their ``parent``.
+_OPEN_SPAN: contextvars.ContextVar[_OpenSpan | None] = contextvars.ContextVar(
+    "repro_obs_open_span", default=None
 )
 
 
@@ -124,6 +156,9 @@ class EventLog:
         self._dropped = 0
         self._closed = False
         self._sink = open(sink_path, "a") if sink_path else None
+        #: Optional callback fired with each record on the emitting
+        #: thread (the CLI hooks this for ``--progress`` status lines).
+        self.on_record = None
         # Sink writes happen on a dedicated thread: ``emit`` runs on the
         # asyncio loop (serve hop events), and a synchronous
         # write+flush per record would stall every request behind disk
@@ -170,6 +205,8 @@ class EventLog:
             enqueue = self._sink is not None and not self._closed
         if enqueue:
             self._sink_queue.put(record)
+        if self.on_record is not None:
+            self.on_record(record)
         return record
 
     # -- introspection -------------------------------------------------------
@@ -333,3 +370,50 @@ def emit(event: str, rid: str | None = None, **attrs) -> None:
             if bound:
                 attrs.setdefault("rids", list(bound))
     log.emit(event, rid=rid, **attrs)
+
+
+@contextmanager
+def span(name: str, **attrs):
+    """Time the body as one ``name`` record, emitted when it closes.
+
+    Yields ``attrs``; whatever the body sets on it lands in the record,
+    next to ``span`` (this span's id), ``parent`` (the id of the span
+    open around it in this context, or ``None``), ``depth``, ``seconds``
+    and the bound correlation ids (as :func:`emit` tags them).  While
+    ``tracemalloc`` is tracing, the record also carries
+    ``memory_peak_kib``: the traced-memory peak over the span's
+    lifetime, its children's peaks included.  A body that raises leaves
+    its exception's type name as ``error``.  Under the null log the
+    span records nothing.
+    """
+    if not _active.enabled:
+        yield attrs
+        return
+    parent = _OPEN_SPAN.get()
+    frame = _OpenSpan(parent)
+    memory = tracemalloc.is_tracing()
+    if memory:
+        # The peak is process-wide: bank what the parent has reached so
+        # far before resetting it for this span.
+        if parent is not None:
+            parent.peak = max(parent.peak, tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+    token = _OPEN_SPAN.set(frame)
+    started = time.perf_counter()
+    try:
+        yield attrs
+    except BaseException as error:
+        attrs.setdefault("error", type(error).__name__)
+        raise
+    finally:
+        seconds = time.perf_counter() - started
+        _OPEN_SPAN.reset(token)
+        if memory:
+            frame.peak = max(frame.peak, tracemalloc.get_traced_memory()[1])
+            if parent is not None:
+                parent.peak = max(parent.peak, frame.peak)
+            attrs["memory_peak_kib"] = round(frame.peak / 1024.0, 1)
+        emit(
+            name, span=frame.id, parent=parent.id if parent else None,
+            depth=frame.depth, seconds=round(seconds, 6), **attrs,
+        )

@@ -165,28 +165,39 @@ def test_rep204_uncatalogued_event():
     findings = run_contracts(
         _project(
             repro_a="""
-            from repro.obs.events import emit
+            from repro.obs.events import emit, span
 
             def hop():
                 emit("mystery-hop", rid="r1")
+
+            def phase():
+                with span("mystery-phase", app="a"):
+                    pass
             """
         ),
         events=frozenset({"admit"}),
     )
-    assert "REP204" in _codes(findings)
+    rep204 = [f for f in findings if f.code == "REP204"]
+    assert len(rep204) == 2
+    assert any("'mystery-hop' (emit)" in f.message for f in rep204)
+    assert any("'mystery-phase' (span)" in f.message for f in rep204)
 
 
 def test_rep204_catalogued_event_is_fine():
     findings = run_contracts(
         _project(
             repro_a="""
-            from repro.obs.events import emit
+            from repro.obs import events
 
             def hop():
-                emit("admit", rid="r1")
+                events.emit("admit", rid="r1")
+
+            def phase():
+                with events.span("harness-run", app="a") as run:
+                    run["engine"] = "vector"
             """
         ),
-        events=frozenset({"admit"}),
+        events=frozenset({"admit", "harness-run"}),
     )
     assert "REP204" not in _codes(findings)
 

@@ -18,13 +18,16 @@ from repro.obs.metrics import (
     percentile_from_buckets,
     use_registry,
 )
-from repro.obs.tracing import (
-    NullTracer,
-    Tracer,
-    get_tracer,
-    read_jsonl,
-    tracing_enabled,
-    use_tracer,
+from repro.obs.aggregate import read_events
+from repro.obs.events import (
+    EventLog,
+    NullEventLog,
+    bind_rids,
+    emit,
+    events_enabled,
+    get_event_log,
+    span,
+    use_event_log,
 )
 
 
@@ -252,138 +255,186 @@ def test_use_registry_restores_previous():
     assert not metrics_enabled()
 
 
-# -- tracing -----------------------------------------------------------------
+# -- spans -------------------------------------------------------------------
 
 
 def test_span_nesting_parent_depth():
-    tracer = Tracer()
-    with tracer.span("outer", phase="x") as outer:
-        with tracer.span("inner") as inner:
-            assert tracer.current() is inner
-        with tracer.span("sibling"):
-            pass
-    assert tracer.current() is None
-    assert [s.name for s in tracer.spans()] == ["outer", "inner", "sibling"]
-    assert inner.parent_id == outer.span_id
-    assert inner.depth == 1
-    assert outer.seconds >= inner.seconds >= 0.0
+    log = EventLog()
+    with use_event_log(log):
+        with span("outer", phase="x"):
+            with span("inner"):
+                pass
+            with span("sibling"):
+                pass
+    records = log.recent()
+    # One record per span, emitted as each closes.
+    assert [r["event"] for r in records] == ["inner", "sibling", "outer"]
+    inner, sibling, outer = records
+    assert outer["parent"] is None and outer["depth"] == 0
+    assert inner["parent"] == sibling["parent"] == outer["span"]
+    assert inner["depth"] == sibling["depth"] == 1
+    assert len({inner["span"], sibling["span"], outer["span"]}) == 3
+    assert outer["phase"] == "x"
+    assert outer["seconds"] >= inner["seconds"] >= 0.0
 
 
 def test_span_annotate_and_event():
-    tracer = Tracer()
-    with tracer.span("run") as span:
-        span.annotate(apps=4)
-        tracer.event("cache-hit", app="x")
-    records = tracer.to_records()
-    assert records[0]["attrs"] == {"apps": 4}
-    assert records[1]["name"] == "cache-hit"
-    assert records[1]["seconds"] == 0.0
-    assert records[1]["parent_id"] == records[0]["span_id"]
+    log = EventLog()
+    with use_event_log(log), bind_rids("r1"):
+        with span("run", app="a") as run:
+            run["apps"] = 4
+            emit("cache-hit", app="x")
+    hit, record = log.recent()
+    # A hop emitted inside a span is its own record, closed first.
+    assert hit["event"] == "cache-hit" and "span" not in hit
+    assert record["event"] == "run"
+    assert record["app"] == "a" and record["apps"] == 4
+    # Both carry the bound correlation id.
+    assert hit["rid"] == record["rid"] == "r1"
+
+
+def test_span_records_error_and_reraises():
+    log = EventLog()
+    with use_event_log(log):
+        with pytest.raises(KeyError):
+            with span("run"):
+                raise KeyError("boom")
+        with span("after"):
+            pass
+    failed, after = log.recent()
+    assert failed["error"] == "KeyError"
+    # The failed span no longer counts as open.
+    assert after["parent"] is None and "error" not in after
 
 
 def test_on_close_callback_fires_in_completion_order():
-    tracer = Tracer()
+    log = EventLog()
     closed = []
-    tracer.on_close = lambda span: closed.append(span.name)
-    with tracer.span("outer"):
-        with tracer.span("inner"):
-            pass
+    log.on_record = lambda record: closed.append(record["event"])
+    with use_event_log(log):
+        with span("outer"):
+            with span("inner"):
+                pass
     assert closed == ["inner", "outer"]
 
 
 def test_jsonl_round_trip(tmp_path):
-    tracer = Tracer()
-    with tracer.span("simulate", app="a", design="d"):
-        with tracer.span("trace-gen", app="a"):
-            pass
     path = tmp_path / "trace.jsonl"
-    tracer.write_jsonl(str(path))
-    records = read_jsonl(str(path))
-    assert records == tracer.to_records()
-    assert records[0]["name"] == "simulate"
-    assert records[1]["parent_id"] == records[0]["span_id"]
-    assert records[1]["depth"] == 1
+    log = EventLog(sink_path=str(path))
+    with use_event_log(log):
+        with span("harness-run", app="a", design="d"):
+            with span("trace-gen", app="a"):
+                pass
+    log.close()
+    records = read_events(str(path))
+    assert records == log.recent()
+    trace_gen, run = records
+    assert run["event"] == "harness-run"
+    assert trace_gen["parent"] == run["span"]
+    assert trace_gen["depth"] == 1
 
 
 def test_tracer_concurrent_asyncio_tasks_keep_parentage(tmp_path):
     """Interleaved asyncio tasks must not corrupt span parentage.
 
-    Each task inherits the spawner's contextvar stack snapshot, so its
-    spans parent under the root that was open when it was created --
-    never under a sibling task's span -- and the JSONL sink stays one
+    Each task inherits the spawner's context snapshot, so its spans
+    parent under the root that was open when it was created -- never
+    under a sibling task's span -- and the JSONL sink stays one
     well-formed record per line."""
     import asyncio
 
-    tracer = Tracer()
-
     async def worker(n: int) -> None:
-        with tracer.span(f"task-{n}", index=n):
+        with span(f"task-{n}", index=n):
             await asyncio.sleep(0)  # force interleaving with siblings
-            with tracer.span(f"task-{n}-inner"):
+            with span(f"task-{n}-inner"):
                 await asyncio.sleep(0)
 
     async def main():
-        with tracer.span("root") as root:
+        with span("root"):
             await asyncio.gather(*(worker(n) for n in range(8)))
-        return root
 
-    root = asyncio.run(main())
     path = tmp_path / "spans.jsonl"
-    tracer.write_jsonl(str(path))
+    log = EventLog(sink_path=str(path))
+    with use_event_log(log):
+        asyncio.run(main())
+    log.close()
     lines = path.read_text().splitlines()
     records = [json.loads(line) for line in lines]  # every line parses
     assert len(records) == 1 + 2 * 8
-    by_name = {record["name"]: record for record in records}
-    assert by_name["root"]["span_id"] == root.span_id
+    by_name = {record["event"]: record for record in records}
+    root = by_name["root"]
+    assert root["parent"] is None
     for n in range(8):
         outer = by_name[f"task-{n}"]
         inner = by_name[f"task-{n}-inner"]
-        assert outer["parent_id"] == root.span_id, outer
-        assert outer["depth"] == 1
-        assert inner["parent_id"] == outer["span_id"], inner
+        assert outer["parent"] == root["span"], outer
+        assert outer["depth"] == 1 and outer["index"] == n
+        assert inner["parent"] == outer["span"], inner
         assert inner["depth"] == 2
 
 
-def test_trace_memory_records_peaks():
-    tracer = Tracer(trace_memory=True)
-    try:
-        with tracer.span("alloc") as span:
+@pytest.fixture
+def traced_memory():
+    import tracemalloc
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    yield
+    if started:
+        tracemalloc.stop()
+
+
+def test_trace_memory_records_peaks(traced_memory):
+    log = EventLog()
+    with use_event_log(log):
+        with span("alloc"):
             _ = [0] * 50_000
-        assert span.memory_peak_kib is not None
-        assert span.memory_peak_kib > 100  # 50k pointers >> 100 KiB
-    finally:
-        tracer.close()
+        del _
+    (record,) = log.recent()
+    assert record["memory_peak_kib"] > 100  # 50k pointers >> 100 KiB
 
 
-def test_render_tree_indents_children():
-    tracer = Tracer()
-    with tracer.span("outer"):
-        with tracer.span("inner", app="x"):
-            pass
-    tree = tracer.render_tree()
-    lines = tree.splitlines()
-    assert lines[0].startswith("outer")
-    assert lines[1].startswith("  inner")
-    assert "app=x" in lines[1]
+def test_trace_memory_parent_peak_covers_children_and_own_allocations(
+    traced_memory,
+):
+    """Opening a child resets the process-wide peak; the parent must
+    still report what it reached before the child opened, and at least
+    every child's peak."""
+    log = EventLog()
+    with use_event_log(log):
+        with span("outer"):
+            block = bytearray(1_600_000)
+            del block
+            with span("empty-child"):
+                pass
+            with span("alloc-child"):
+                block = bytearray(800_000)
+                del block
+    empty, alloc, outer = log.recent()
+    assert alloc["memory_peak_kib"] > 700
+    assert outer["memory_peak_kib"] > 1500
+    assert outer["memory_peak_kib"] >= max(
+        empty["memory_peak_kib"], alloc["memory_peak_kib"]
+    )
 
 
 def test_null_tracer_is_default_and_free():
-    tracer = get_tracer()
-    assert not tracing_enabled()
-    assert isinstance(tracer, NullTracer)
-    with tracer.span("anything", app="x") as span:
-        span.annotate(ok=True)
-    tracer.event("nothing")
-    assert tracer.to_records() == []
-    assert tracer.render_tree() == ""
-
-
-def test_use_tracer_restores_previous():
-    scoped = Tracer()
-    with use_tracer(scoped) as active:
-        assert active is scoped
-        assert get_tracer() is scoped
-    assert not tracing_enabled()
+    """Spans under the default null log record nothing and leave no
+    parentage behind."""
+    log = get_event_log()
+    assert not events_enabled()
+    assert isinstance(log, NullEventLog)
+    with span("anything", app="x") as attrs:
+        attrs["ok"] = True
+        emit("nothing")
+        scoped = EventLog()
+        with use_event_log(scoped):
+            with span("inside"):
+                pass
+    assert log.recent() == []
+    (inside,) = scoped.recent()
+    assert inside["parent"] is None and inside["depth"] == 0
 
 
 # -- stats serialisation (satellite) ----------------------------------------
@@ -515,13 +566,35 @@ def test_simulate_cli_emits_metrics_and_trace(tmp_path):
         "app": "server_oltp_00", "design": "PDede[default]",
     }
     assert ipc_series["value"] > 0
-    records = read_jsonl(str(trace_path))
-    names = [record["name"] for record in records]
-    assert "simulate" in names
-    assert "trace-gen" in names
-    simulate = next(r for r in records if r["name"] == "simulate")
-    nested = [r for r in records if r["parent_id"] == simulate["span_id"]]
-    assert nested, "simulate span must have nested children"
+    records = read_events(str(trace_path))
+    (run,) = [r for r in records if r["event"] == "harness-run"]
+    assert run["app"] == "server_oltp_00"
+    assert run["engine"] in ("vector", "general")
+    nested = {r["event"] for r in records if r.get("parent") == run["span"]}
+    assert nested == {"trace-gen", "warmup+measure"}
+    clear_cache()
+
+
+def test_simulate_cli_progress_streams_top_two_span_levels(tmp_path, capsys):
+    from repro.cli import main
+    from repro.experiments.harness import clear_cache
+
+    clear_cache()
+    trace_path = tmp_path / "t.jsonl"
+    trace_path.write_text("stale\n")
+    assert main([
+        "--scale", "tiny", "simulate", "server_oltp_00", "baseline",
+        "--progress", "--trace-out", str(trace_path),
+    ]) == 0
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("  [")]
+    assert [line.split()[2] for line in lines] == [
+        "trace-gen", "warmup+measure", "harness-run",
+    ]
+    assert "engine=" in lines[-1]
+    # --trace-out replaces an existing file rather than appending to it.
+    assert "stale" not in trace_path.read_text()
+    assert "harness-run" in {r["event"] for r in read_events(str(trace_path))}
     clear_cache()
 
 
@@ -542,6 +615,20 @@ def test_cli_epilog_lists_registries():
     assert "pdede-multi-entry" in epilog
     assert "fig10" in epilog
     assert "ablation-stale" in epilog
+
+
+def test_span_flags_on_batch_commands_only():
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    span_flags = ["--trace-out", "t.jsonl", "--progress", "--trace-memory"]
+    for command in (["simulate", "a", "d"], ["experiment", "fig10"], ["report"]):
+        args = parser.parse_args(command + ["--metrics-out", "m.json"] + span_flags)
+        assert args.trace_out == "t.jsonl" and args.progress and args.trace_memory
+    assert parser.parse_args(["serve", "--metrics-out", "m.json"]).metrics_out
+    for flag in (["--trace-out", "t.jsonl"], ["--progress"], ["--trace-memory"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve"] + flag)
 
 
 def test_baseline_metrics_surface():

@@ -105,6 +105,16 @@ def test_cold_request_full_hop_sequence_by_correlation_id():
         # bound rids: a cold request must show its cache miss.
         deep = [r for r in trace["records"] if r["event"] == "cache-lookup"]
         assert deep and deep[0]["hit"] is False
+
+        # The fresh simulation is one harness-run span with the run
+        # itself nested under it, both tagged with this request's id.
+        (run,) = [r for r in records if r["event"] == "harness-run"]
+        assert run["parent"] is None and run["seconds"] > 0.0
+        assert run["engine"] in ("vector", "general")
+        measure = [r for r in records if r["event"] == "warmup+measure"]
+        assert [r["parent"] for r in measure] == [run["span"]]
+        for record in (run, measure[0]):
+            assert record["rid"] == rid or rid in record.get("rids", ())
     finally:
         handle.shutdown()
 
