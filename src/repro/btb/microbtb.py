@@ -16,12 +16,15 @@ predictors) because victim filling needs eviction visibility: the L1
 must hand its evicted entry to the LLBTB, which a generic wrapper
 cannot see.
 
-Engine support: general only.  The vector engine has no kernel for the
-promotion/victim-fill traffic between the levels, and
-:func:`~repro.btb.vectorops.vector_supported` matches exact types, so
-the class runs on the general engine exactly like
-:class:`~repro.btb.ghrp.GhrpBTB`; the seed referee passes instances
-through unchanged, which is what the differential tests lean on.
+Engine support: the vector engine's scalar BTB pass.  There is no
+struct-of-arrays kernel for the promotion/victim-fill traffic between
+the levels, and :func:`~repro.btb.vectorops.vector_supported` matches
+exact types, so -- exactly like :class:`~repro.btb.ghrp.GhrpBTB` -- the
+vector engine drives this class through its own ``lookup``/``update``
+per event while sharing the decoded trace's direction, ICache and RAS
+replays; the general engine also applies.  The seed referee passes
+instances through unchanged, which is what the differential tests lean
+on.
 """
 
 from __future__ import annotations

@@ -27,9 +27,11 @@ The model layers over any inner predictor (Baseline or PDede here):
 Only direct branches participate: indirect targets and returns are not
 recoverable from instruction bytes.
 
-Engine support: general only (like GhrpBTB, it is not a type
-:func:`~repro.btb.vectorops.vector_supported` accepts) -- the vector
-kernels cannot see fetch-line adjacency, which is the whole mechanism.
+Engine support: the vector engine's scalar BTB pass (like GhrpBTB, it
+is not a type :func:`~repro.btb.vectorops.vector_supported` accepts) --
+the struct-of-arrays kernels cannot see fetch-line adjacency, which is
+the whole mechanism, so the vector engine calls this class's own
+``lookup``/``update`` per event; the general engine also applies.
 """
 
 from __future__ import annotations

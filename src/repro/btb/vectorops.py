@@ -62,8 +62,9 @@ def vector_supported(btb) -> bool:
     """Whether :func:`make_vector_ops` has an exact kernel for ``btb``.
 
     Exact types only: a subclass may override update behaviour the
-    kernels replicate (``GhrpBTB`` does), so anything unrecognised runs
-    on the general per-event engine.
+    kernels replicate (``GhrpBTB`` does), so anything unrecognised takes
+    the vector engine's scalar BTB pass (the design's own ``lookup`` and
+    ``update`` per event) instead of the chunked kernel pass.
     """
     if type(btb) is BaselineBTB or type(btb) is PDedeBTB:
         return True
@@ -75,14 +76,20 @@ def vector_supported(btb) -> bool:
     return False
 
 
+def active_mask(decoded, returns_use_ras: bool) -> np.ndarray:
+    """Per-event mask of the events that consult the BTB.
+
+    Every event, or every non-return when returns are served by the RAS.
+    """
+    if returns_use_ras:
+        return ~decoded.vector_columns()["is_return"]
+    return np.ones(decoded.n_events, dtype=np.bool_)
+
+
 def make_vector_ops(btb, trace, returns_use_ras: bool):
     """Build the per-design vector ops for ``btb`` over ``trace``."""
     decoded = trace.decoded()
-    cols = decoded.vector_columns()
-    if returns_use_ras:
-        active = ~cols["is_return"]
-    else:
-        active = np.ones(decoded.n_events, dtype=np.bool_)
+    active = active_mask(decoded, returns_use_ras)
     if type(btb) is BaselineBTB:
         return BaselineOps(btb, trace, decoded, active)
     if type(btb) is PDedeBTB:

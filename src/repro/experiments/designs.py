@@ -84,7 +84,8 @@ def ghrp_design(entries: int = 4096, key: str | None = None, **kwargs) -> Design
 def micro_btb_design(key: str = "micro-btb", **kwargs) -> Design:
     """Two-tier last-level BTB hierarchy (Micro BTB, Gupta & Panda).
 
-    General engine only (the vector engine has no kernel for the class).
+    No struct-of-arrays kernel: the vector engine runs it through its
+    scalar BTB pass.
     """
     from repro.btb.microbtb import MicroBTB
 
@@ -97,7 +98,8 @@ def shadow_design(
     """Decode-assisted shadow-branch fill (Pepi et al.) over Baseline/PDede.
 
     ``inner`` selects the main predictor the shadow table backs.
-    General engine only (the vector engine has no kernel for the class).
+    No struct-of-arrays kernel: the vector engine runs it through its
+    scalar BTB pass.
     """
     from repro.btb.shadow import ShadowBTB
 

@@ -24,7 +24,9 @@ reads as a miss -- the caller simulates locally.
 ``REPRO_RESULT_CACHE=0`` turns the whole chain off: every lookup misses
 and nothing is published.  The serving layer's cross-replica
 single-flight (:func:`resultstore.fetch_or_compute`) talks to the
-shared store directly and is governed by ``--store`` alone.
+shared store directly and is governed by ``--store`` alone; without a
+store, :func:`compute_once` is its process-local counterpart (one
+in-process lease per memo key).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from repro.experiments import diskcache, resultstore
 from repro.frontend.params import CoreParams
@@ -42,11 +45,17 @@ from repro.obs.metrics import get_registry
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import suite_spec
 
-__all__ = ["ResultRef", "clear", "enabled", "get", "memo_size", "put", "remember"]
+__all__ = [
+    "ResultRef", "clear", "compute_once", "enabled", "get", "memo_size", "put",
+    "remember",
+]
 
 #: memo key -> FrontendStats.  Written by serve worker threads while the
 #: event loop reads its size for ``/v1/stats`` (REP104).
 _MEMO: dict[tuple, FrontendStats] = {}
+#: memo key -> the in-flight computation's completion event (see
+#: :func:`compute_once`); guarded by ``_LOCK`` like the memo.
+_LEASES: dict[tuple, threading.Event] = {}
 _LOCK = threading.Lock()
 
 #: ``harness_result_cache_total`` outcome label per answering tier.
@@ -163,6 +172,44 @@ def put(ref: ResultRef, stats: FrontendStats, shared: bool = True) -> None:
             resultstore.degraded(
                 "put_result", error, app=ref.trace_name, design=ref.design_key
             )
+
+
+def compute_once(
+    ref: ResultRef, compute: Callable[[], FrontendStats]
+) -> tuple[FrontendStats, str]:
+    """Process-local single-flight: ``(compute(), "fresh")`` for the
+    first caller of a memo key, ``(stats, "memo")`` for callers that
+    arrive while it runs.
+
+    The first caller takes an in-process lease on ``ref.memo_key`` and
+    runs ``compute`` (which is expected to :func:`put` its result);
+    later callers wait for the lease, then re-run :func:`get`.  If the
+    owner failed or the chain is off, a waiter takes the lease itself
+    and computes.
+    """
+    key = ref.memo_key
+    chain_on = enabled()
+    while True:
+        with _LOCK:
+            stats = _MEMO.get(key) if chain_on else None
+            if stats is not None:
+                # The owner finished between the caller's miss and now.
+                return stats, "memo"
+            lease = _LEASES.get(key)
+            owner = lease is None
+            if owner:
+                lease = _LEASES[key] = threading.Event()
+        if owner:
+            try:
+                return compute(), "fresh"
+            finally:
+                with _LOCK:
+                    del _LEASES[key]
+                lease.set()
+        lease.wait()
+        stats, tier = get(ref)
+        if stats is not None:
+            return stats, tier
 
 
 def memo_size() -> int:

@@ -41,7 +41,6 @@ from repro.obs.metrics import get_registry
 from repro.branch.types import BranchKind
 from repro.btb.base import BranchTargetPredictor
 from repro.btb.ittage import ITTagePredictor
-from repro.btb.vectorops import vector_supported
 from repro.btb.ras import ReturnAddressStack
 from repro.checks.sanitizer import get_sanitizer
 from repro.frontend.icache import ICache
@@ -142,11 +141,11 @@ class FrontendSimulator:
         Two engines produce the same ``FrontendStats`` bit for bit (the
         equivalence suite is the referee): the columnar *vector* engine
         (:mod:`repro.frontend.vector`) driven by the trace's precomputed
-        :class:`~repro.workloads.decoded.DecodedTrace` columns, used when
-        the configuration allows it, and the *general* per-event engine
-        that handles every configuration (ITTAGE, wrong-path modelling,
-        custom predictors, designs without struct-of-arrays kernels,
-        armed sanitizer, reused simulators).
+        :class:`~repro.workloads.decoded.DecodedTrace` columns, used for
+        every BTB design when the configuration allows it, and the
+        *general* per-event engine that handles every configuration
+        (ITTAGE, wrong-path modelling, custom predictors, armed
+        sanitizer, reused simulators).
 
         Args:
             measure_range: simulate one *shard* of the trace -- replay
@@ -176,7 +175,8 @@ class FrontendSimulator:
         elif engine == "vector" and not self._vector_path_applicable():
             raise ValueError(
                 "vector engine not applicable to this configuration "
-                "(requires cold structures and a vector-capable BTB)"
+                "(requires cold structures, no ITTAGE, no wrong-path "
+                "modelling, a disarmed sanitizer and a built-in predictor)"
             )
         self.last_engine = engine
         started = time.perf_counter()
@@ -217,12 +217,13 @@ class FrontendSimulator:
 
         The vector engine replays direction outcomes, ICache misses and
         the call/return stream from cold state, so it only applies to a
-        simulator's first run with cold structures and a pristine RAS,
-        and only to designs with exact struct-of-arrays kernels
-        (:func:`~repro.btb.vectorops.vector_supported`).  Anything it
-        cannot replicate exactly (ITTAGE, wrong-path pollution, an armed
-        sanitizer, a caller-supplied predictor, a design without
-        kernels) falls back to the general engine.
+        simulator's first run with cold structures and a pristine RAS.
+        Any BTB qualifies: designs with exact struct-of-arrays kernels
+        (:func:`~repro.btb.vectorops.vector_supported`) take the chunked
+        kernel pass, every other design a scalar pass through its own
+        ``lookup``/``update``.  Anything the engine cannot replicate
+        exactly (ITTAGE, wrong-path pollution, an armed sanitizer, a
+        caller-supplied predictor) falls back to the general engine.
         """
         return (
             not self._has_run
@@ -234,7 +235,6 @@ class FrontendSimulator:
             and self.ras.pushes == 0
             and self.ras.pops == 0
             and len(self.ras) == 0
-            and vector_supported(self.btb)
         )
 
     def _run_general(

@@ -5,8 +5,13 @@ The decoded-trace engine of :class:`repro.frontend.simulator.FrontendSimulator`
 to it and to the frozen seed referee by construction and by the
 equivalence suite.  Two phases:
 
-**Phase 1 -- BTB pass.**  The trace is consumed in adaptively-sized
-chunks.  Each chunk gets one struct-of-arrays BTB lookup over the
+**Phase 1 -- BTB pass.**  Yields per-event ``(target, hit, latency)``
+lookup columns, by one of two passes.
+
+*The kernel pass*, for designs with exact struct-of-arrays kernels
+(:func:`~repro.btb.vectorops.vector_supported`): the trace is consumed
+in adaptively-sized chunks.  Each chunk gets one struct-of-arrays BTB
+lookup over the
 design's mirrors (:mod:`repro.btb.vectorops`), yielding per-event
 ``(target, hit, latency)`` columns plus a conservative *boundary* mask
 marking events whose update would mutate lookup-visible state.  The
@@ -18,6 +23,11 @@ mirrors are patched and the chunk restarts after the boundary; otherwise
 (a confidence drain, a non-allocating miss) the scan continues inside
 the same chunk.  Chunks grow after clean blocks and shrink toward the
 observed resteer density after mutations.
+
+*The scalar pass*, for every other BTB: the active events (all but
+RAS-served returns) in trace order, each through the design's own
+``lookup`` then ``update`` -- the general engine's call sequence,
+without its per-design direction, ICache, RAS and fetch-queue work.
 
 **Phase 2 -- timing.**  Branch-resolution outcomes (direction, RAS, BTB
 miss, penalty kind, lookup bubbles) are pure element-wise functions of
@@ -39,7 +49,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.btb.vectorops import NO_TARGET, make_vector_ops
+from repro.btb.vectorops import (
+    NO_TARGET,
+    active_mask,
+    make_vector_ops,
+    vector_supported,
+)
 from repro.frontend.params import exact_ticks
 from repro.frontend.stats import FrontendStats
 
@@ -96,88 +111,17 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
     is_return_col = cols["is_return"]
     instructions_col = cols["instructions"]
 
-    ops = make_vector_ops(btb, trace, sim.returns_use_ras)
-    active_col = ops.active
-
     # ---- phase 1: BTB pass --------------------------------------------
     lt = np.full(stop, NO_TARGET, dtype=np.int64)
     lh = np.zeros(stop, dtype=np.bool_)
     lat = np.ones(stop, dtype=np.int64)
-
-    observe = btb.observe_fast
-    pcs_list = trace.pcs
-    targets_list = trace.targets
-    takens_list = trace.takens
-    hashes_list = decoded.hashes
-    same_page_list = decoded.same_page
-    is_indirect_list = decoded.is_indirect
-
-    reset_pending = 0 < warm_limit < stop
-    chunk = CHUNK_START
-    i = 0
-    ops.begin()
-    try:
-        while i < stop:
-            if reset_pending and i == warm_limit:
-                btb.reset_stats()
-                reset_pending = False
-            hi = i + chunk
-            if hi > stop:
-                hi = stop
-            if reset_pending and hi > warm_limit:
-                # Force a block break on the warm crossing so the stats
-                # reset lands between events, as in the scalar engines.
-                hi = warm_limit
-            blk = ops.lookup_block(i, hi)
-            # Optimistically copy the whole block's lookup columns once;
-            # replayed boundaries overwrite single positions and a
-            # truncated tail is rewritten by the next block.
-            lt[i:hi] = blk.lt
-            lh[i:hi] = blk.lh
-            lat[i:hi] = blk.lat
-            pos = i
-            # ``valid_hi``: how far this block's precomputed lookups are
-            # still valid.  A replayed boundary that journals a write
-            # truncates it to the first later event that reads the
-            # written state (usually none -- the scan keeps going).
-            valid_hi = hi
-            for b in blk.bounds:
-                if b >= valid_hi:
-                    break
-                if b > pos:
-                    ops.commit(blk, pos, b)
-                replay_lt, replay_lh, replay_lat = observe(
-                    pcs_list[b],
-                    targets_list[b],
-                    takens_list[b],
-                    is_indirect_list[b],
-                    hashes_list[b],
-                    same_page_list[b],
-                )
-                lt[b] = NO_TARGET if replay_lt is None else replay_lt
-                lh[b] = replay_lh
-                lat[b] = replay_lat
-                pos = b + 1
-                if ops.absorb():
-                    affected = ops.first_affected(blk, pos, valid_hi)
-                    if affected < valid_hi:
-                        valid_hi = affected
-            if pos < valid_hi:
-                ops.commit(blk, pos, valid_hi)
-                pos = valid_hi
-            if valid_hi < hi:
-                # Truncated by a mutation: retry with twice the distance
-                # just consumed so chunk size tracks mutation density.
-                chunk = (pos - i) * 2
-                if chunk < CHUNK_MIN:
-                    chunk = CHUNK_MIN
-                elif chunk > CHUNK_MAX:
-                    chunk = CHUNK_MAX
-            elif chunk < CHUNK_MAX:
-                chunk = min(chunk * 2, CHUNK_MAX)
-            i = pos
-    finally:
-        ops.end()
+    if vector_supported(btb):
+        ops = make_vector_ops(btb, trace, sim.returns_use_ras)
+        active_col = ops.active
+        _kernel_pass(ops, btb, trace, decoded, warm_limit, stop, lt, lh, lat)
+    else:
+        active_col = active_mask(decoded, sim.returns_use_ras)
+        _scalar_pass(btb, trace, active_col, warm_limit, stop, lt, lh, lat)
 
     # ---- phase 2: outcomes, penalties, timing -------------------------
     act = active_col[:stop]
@@ -327,3 +271,132 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
             sim.direction = direction_final.clone()
         sim.ras = ras_final.clone()
     return stats
+
+
+def _kernel_pass(ops, btb, trace, decoded, warm_limit, stop, lt, lh, lat):
+    """Phase 1 for designs with SoA kernels: chunked lookups + replays."""
+    observe = btb.observe_fast
+    pcs_list = trace.pcs
+    targets_list = trace.targets
+    takens_list = trace.takens
+    hashes_list = decoded.hashes
+    same_page_list = decoded.same_page
+    is_indirect_list = decoded.is_indirect
+
+    reset_pending = 0 < warm_limit < stop
+    chunk = CHUNK_START
+    i = 0
+    ops.begin()
+    try:
+        while i < stop:
+            if reset_pending and i == warm_limit:
+                btb.reset_stats()
+                reset_pending = False
+            hi = i + chunk
+            if hi > stop:
+                hi = stop
+            if reset_pending and hi > warm_limit:
+                # Force a block break on the warm crossing so the stats
+                # reset lands between events, as in the scalar engines.
+                hi = warm_limit
+            blk = ops.lookup_block(i, hi)
+            # Optimistically copy the whole block's lookup columns once;
+            # replayed boundaries overwrite single positions and a
+            # truncated tail is rewritten by the next block.
+            lt[i:hi] = blk.lt
+            lh[i:hi] = blk.lh
+            lat[i:hi] = blk.lat
+            pos = i
+            # ``valid_hi``: how far this block's precomputed lookups are
+            # still valid.  A replayed boundary that journals a write
+            # truncates it to the first later event that reads the
+            # written state (usually none -- the scan keeps going).
+            valid_hi = hi
+            for b in blk.bounds:
+                if b >= valid_hi:
+                    break
+                if b > pos:
+                    ops.commit(blk, pos, b)
+                replay_lt, replay_lh, replay_lat = observe(
+                    pcs_list[b],
+                    targets_list[b],
+                    takens_list[b],
+                    is_indirect_list[b],
+                    hashes_list[b],
+                    same_page_list[b],
+                )
+                lt[b] = NO_TARGET if replay_lt is None else replay_lt
+                lh[b] = replay_lh
+                lat[b] = replay_lat
+                pos = b + 1
+                if ops.absorb():
+                    affected = ops.first_affected(blk, pos, valid_hi)
+                    if affected < valid_hi:
+                        valid_hi = affected
+            if pos < valid_hi:
+                ops.commit(blk, pos, valid_hi)
+                pos = valid_hi
+            if valid_hi < hi:
+                # Truncated by a mutation: retry with twice the distance
+                # just consumed so chunk size tracks mutation density.
+                chunk = (pos - i) * 2
+                if chunk < CHUNK_MIN:
+                    chunk = CHUNK_MIN
+                elif chunk > CHUNK_MAX:
+                    chunk = CHUNK_MAX
+            elif chunk < CHUNK_MAX:
+                chunk = min(chunk * 2, CHUNK_MAX)
+            i = pos
+    finally:
+        ops.end()
+
+
+def _scalar_pass(btb, trace, active, warm_limit, stop, lt, lh, lat):
+    """Phase 1 for any other BTB: its own ``lookup`` then ``update``.
+
+    The same call sequence as the general engine, minus the per-event
+    timing work the decoded trace already replayed.  Inactive events
+    (RAS-served returns) never touch the BTB, so the stats reset at the
+    warm crossing may land between the active events on either side.
+    """
+    from repro.frontend.simulator import _KINDS, _EventView
+
+    indices = np.flatnonzero(active[:stop])
+    got_target = []
+    got_hit = []
+    got_latency = []
+
+    def replay(segment):
+        lookup = btb.lookup
+        update = btb.update
+        pcs = trace.pcs
+        kinds = trace.kinds
+        takens = trace.takens
+        targets = trace.targets
+        gaps = trace.gaps
+        add_target = got_target.append
+        add_hit = got_hit.append
+        add_latency = got_latency.append
+        for index in segment:
+            pc = pcs[index]
+            result = lookup(pc)
+            predicted = result.target
+            add_target(NO_TARGET if predicted is None else predicted)
+            add_hit(result.hit)
+            add_latency(result.latency)
+            update(
+                _EventView(
+                    pc, _KINDS[kinds[index]], takens[index], targets[index], gaps[index]
+                )
+            )
+
+    if 0 < warm_limit < stop:
+        split = int(np.searchsorted(indices, warm_limit))
+        replay(indices[:split].tolist())
+        btb.reset_stats()
+        replay(indices[split:].tolist())
+    else:
+        replay(indices.tolist())
+    lt[indices] = got_target
+    lh[indices] = got_hit
+    lat[indices] = got_latency

@@ -168,7 +168,10 @@ def default_batch_runner(
     over that shared decode (one in-process multi-design pass, with the
     harness's run telemetry); with a shared store active, the
     simulation runs inside the cross-node single-flight protocol
-    (:func:`repro.experiments.resultstore.fetch_or_compute`).
+    (:func:`repro.experiments.resultstore.fetch_or_compute`), and
+    without one inside the process-local lease
+    (:func:`repro.experiments.results.compute_once`), so two batches on
+    different worker threads never simulate the same key twice.
     """
     from repro.experiments import harness
     from repro.experiments.designs import design_registry
@@ -211,7 +214,7 @@ def default_batch_runner(
             return stats
 
         if store is None:
-            outcome.results[job] = (compute(), "fresh")
+            outcome.results[job] = results.compute_once(ref, compute)
             continue
         stats, kind = resultstore.fetch_or_compute(
             store, ref.key, compute,

@@ -82,10 +82,8 @@ class DecodedTrace:
 
     __slots__ = (
         "n_events",
-        "block_instructions",
         "hashes",
         "same_page",
-        "is_call",
         "is_indirect",
         "_pcs",
         "_block_starts",
@@ -105,10 +103,8 @@ class DecodedTrace:
 
     def __init__(self) -> None:
         self.n_events = 0
-        self.block_instructions: list[int] = []
         self.hashes: list[int] = []
         self.same_page: list[bool] = []
-        self.is_call: list[bool] = []
         self.is_indirect: list[bool] = []
         self._pcs: list[int] = []
         self._block_starts: list[int] = []
@@ -135,8 +131,6 @@ class DecodedTrace:
         decoded = cls()
         decoded.n_events = len(trace)
         with np.errstate(over="ignore"):
-            wide_gaps = gaps.astype(np.int64)
-            decoded.block_instructions = (wide_gaps + 1).tolist()
             decoded._block_starts = (
                 pcs - gaps.astype(np.uint64) * np.uint64(_INSTR_BYTES)
             ).tolist()
@@ -144,7 +138,6 @@ class DecodedTrace:
             decoded.hashes = hash_arr.tolist()
             same_page_arr = (pcs >> _PAGE_SHIFT) == (targets >> _PAGE_SHIFT)
             decoded.same_page = same_page_arr.tolist()
-        decoded.is_call = _IS_CALL_BY_KIND[kinds].tolist()
         decoded.is_indirect = _IS_INDIRECT_BY_KIND[kinds].tolist()
         decoded._pcs = trace.pcs
         decoded._takens = trace.takens

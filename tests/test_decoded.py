@@ -32,7 +32,8 @@ def test_decoded_is_cached_on_the_trace(trace):
 
 def test_block_instructions_is_gap_plus_one(trace, decoded):
     assert decoded.n_events == len(trace)
-    assert decoded.block_instructions == [gap + 1 for gap in trace.gaps]
+    instructions = decoded.vector_columns()["instructions"]
+    assert instructions.tolist() == [gap + 1 for gap in trace.gaps]
 
 
 def test_hashes_match_scalar_hash_pc(trace, decoded):
@@ -50,14 +51,17 @@ def test_same_page_matches_scalar_helper(trace, decoded):
 
 def test_kind_property_columns(trace, decoded):
     kinds = [BranchKind(value) for value in trace.kinds]
-    assert decoded.is_call == [kind.is_call for kind in kinds]
+    assert decoded.vector_columns()["is_call"].tolist() == [
+        kind.is_call for kind in kinds
+    ]
     assert decoded.is_indirect == [kind.is_indirect for kind in kinds]
 
 
 def test_supply_demand_arrays_are_exact_multiples(decoded):
     supply, demand = decoded.supply_demand_arrays(10, 16)
-    assert supply.tolist() == [count * 10 for count in decoded.block_instructions]
-    assert demand.tolist() == [count * 16 for count in decoded.block_instructions]
+    instructions = decoded.vector_columns()["instructions"].tolist()
+    assert supply.tolist() == [count * 10 for count in instructions]
+    assert demand.tolist() == [count * 16 for count in instructions]
     assert supply.dtype == np.int64 and demand.dtype == np.int64
     assert decoded.supply_demand_arrays(10, 16) is decoded.supply_demand_arrays(10, 16)
     assert decoded.supply_demand_arrays(5, 16)[0].tolist() != supply.tolist()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.branch.types import BranchKind
 from repro.checks.sanitizer import Sanitizer, use_sanitizer
 from repro.experiments.designs import (
     design_registry,
@@ -64,8 +65,8 @@ def test_auto_prefers_vector_engine(key):
 
 
 #: The engine ``engine="auto"`` picks for every registered design: the
-#: flat-storage Baseline/PDede geometries have struct-of-arrays kernels,
-#: everything else runs on the general engine.
+#: flat-storage Baseline/PDede geometries take the vector engine's
+#: struct-of-arrays kernel pass, every other design its scalar BTB pass.
 AUTO_ENGINE_BY_DESIGN = {
     "baseline": "vector",
     "baseline-6144": "vector",
@@ -74,11 +75,11 @@ AUTO_ENGINE_BY_DESIGN = {
     "pdede-multi-target": "vector",
     "pdede-multi-entry": "vector",
     "partition-only": "vector",
-    "dedup-only": "general",
-    "shotgun": "general",
-    "micro-btb": "general",
-    "shadow-baseline": "general",
-    "shadow-pdede": "general",
+    "dedup-only": "vector",
+    "shotgun": "vector",
+    "micro-btb": "vector",
+    "shadow-baseline": "vector",
+    "shadow-pdede": "vector",
 }
 
 
@@ -230,7 +231,7 @@ def _fuzz_design(seed: int):
         designs["pdede-multi-entry"]
     )
     # with_ittage forces the general engine, so the sweep exercises the
-    # fast *and* the general path against the seed referee.
+    # vector *and* the general path against the seed referee.
     designs["pdede+ittage"] = with_ittage(designs["pdede-default"])
     key = rng.choice(sorted(designs))
     return key, designs[key]
@@ -307,15 +308,24 @@ def test_fuzz_sweep_is_deterministic():
     assert _fuzz_design(5)[0] == _fuzz_design(5)[0]
 
 
-# -- literature families (general engine only) -------------------------------
+# -- designs without struct-of-arrays kernels --------------------------------
 #
 # MicroBTB and ShadowBTB have no struct-of-arrays kernels (like GhrpBTB,
 # vector_supported rejects them): victim-fill/promotion and fetch-line
-# exposure are invisible to the vector engine.  Auto must route them to
-# the general engine, a forced vector run must refuse, and the general
-# engine must still match the frozen seed referee exactly.
+# exposure are invisible to the kernel pass.  The vector engine runs them
+# through its scalar BTB pass (the design's own lookup/update per event),
+# and both live engines must still match the frozen seed referee exactly.
 
-from repro.experiments.designs import micro_btb_design, shadow_design
+from repro.btb.vectorops import vector_supported
+from repro.experiments.designs import (
+    baseline_design,
+    ghrp_design,
+    micro_btb_design,
+    multitag_design,
+    shadow_design,
+    with_temporal_prefetch,
+)
+from repro.frontend.stats import FrontendStats
 
 
 def _literature_designs():
@@ -328,38 +338,97 @@ def _literature_designs():
 
 @pytest.mark.parametrize("key", sorted(_literature_designs()))
 def test_literature_families_fall_back_to_general_and_match_seed(key):
+    """``auto`` now resolves to the vector engine's scalar pass; a forced
+    ``general`` run keeps the fallback engine under the referee too."""
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = _literature_designs()[key]
-    simulator, stats, seed_stats = _run_both(design, trace)
-    assert simulator.last_engine == "general"
+    for engine, expected in (("auto", "vector"), ("general", "general")):
+        simulator, stats, seed_stats = _run_both(design, trace, engine=engine)
+        assert simulator.last_engine == expected
+        assert stats.to_dict() == seed_stats.to_dict(), engine
+
+
+def _kernelless_designs():
+    # A 256-entry GHRP BTB is under capacity pressure on the tiny trace,
+    # so its dead-entry replacement diverges from plain LRU baseline.
+    return {
+        **_literature_designs(),
+        "ghrp-256": ghrp_design(entries=256),
+        "multitag": multitag_design(),
+        "baseline+prefetch": with_temporal_prefetch(baseline_design()),
+    }
+
+
+@pytest.mark.parametrize("key", sorted(_kernelless_designs()))
+def test_kernelless_designs_forced_vector_match_seed(key):
+    trace = get_trace(TRACE_APP, TRACE_SCALE)
+    design = _kernelless_designs()[key]
+    btb, _ = design.build()
+    assert not vector_supported(btb)
+    simulator, stats, seed_stats = _run_both(design, trace, engine="vector")
+    assert simulator.last_engine == "vector"
     assert stats.to_dict() == seed_stats.to_dict()
 
 
-@pytest.mark.parametrize("engine", ["vector"])
-@pytest.mark.parametrize("key", sorted(_literature_designs()))
-def test_literature_families_refuse_forced_fast_tiers(key, engine):
+def test_seed_counterpart_passes_subclasses_through():
+    # GhrpBTB subclasses BaselineBTB but replaces its replacement policy;
+    # refereeing it with the frozen plain baseline would compare against
+    # LRU behaviour.  Under capacity pressure the two really differ.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
-    btb, kwargs = _literature_designs()[key].build()
-    simulator = FrontendSimulator(btb, engine=engine, **kwargs)
-    with pytest.raises(ValueError, match="not applicable"):
-        simulator.run(trace, warmup_fraction=0.3)
+    design = ghrp_design(entries=256)
+    simulator, stats, seed_stats = _run_both(design, trace, engine="general")
+    assert stats.to_dict() == seed_stats.to_dict()
+    btb, _ = design.build()
+    assert seed_counterpart(btb) is btb
+
+
+def test_literature_family_shards_merge_to_the_unsharded_run():
+    # Shards of the scalar pass: each one replays [0, start) for warmup
+    # and accounts [start, stop); merged, they equal one unsharded run.
+    # The warm crossing of the middle shard lands on a return, which the
+    # RAS serves without touching the BTB, so the stats reset falls
+    # between the active events on either side.
+    trace = get_trace(TRACE_APP, TRACE_SCALE)
+    design = _literature_designs()["micro-btb"]
+    n_events = len(trace)
+    returns = [
+        index for index, kind in enumerate(trace.kinds)
+        if kind == int(BranchKind.RETURN) and index > n_events // 3
+    ]
+    cuts = [0, returns[0], 2 * n_events // 3, n_events]
+    parts = []
+    for start, stop in zip(cuts, cuts[1:]):
+        btb, kwargs = design.build()
+        simulator = FrontendSimulator(btb, engine="vector", **kwargs)
+        parts.append(simulator.run(trace, measure_range=(start, stop)))
+        assert simulator.last_engine == "vector"
+    btb, kwargs = design.build()
+    whole = FrontendSimulator(btb, engine="vector", **kwargs).run(
+        trace, measure_range=(0, n_events)
+    )
+    assert FrontendStats.merge(parts).to_dict() == whole.to_dict()
+    seed_btb, seed_kwargs = design.build()
+    reference = SeedFrontendSimulator(seed_counterpart(seed_btb), **seed_kwargs)
+    assert whole.to_dict() == reference.run(trace, warmup_fraction=0.0).to_dict()
 
 
 @pytest.mark.parametrize("fuzz_seed", range(4))
 def test_differential_fuzz_literature_families(fuzz_seed):
-    """The seedref differential sweep over the opted-out families: the
-    general engine vs the referee on randomized workloads."""
+    """The seedref differential sweep over the kernel-less literature
+    families on randomized workloads, for both live engines ("auto"
+    resolves to the vector engine's scalar pass)."""
     spec = _fuzz_spec(1000 + fuzz_seed)
     designs = _literature_designs()
     key = sorted(designs)[fuzz_seed % len(designs)]
     trace = generate_trace(spec)
-    diff = _diff_fields(designs[key], trace)
-    if diff:
-        shrunk = _shrink_prefix(designs[key], spec, len(trace))
-        raise AssertionError(
-            f"general engine diverges from seed referee on fuzz seed "
-            f"{1000 + fuzz_seed} (design {key!r}, {len(trace)} events; "
-            f"shrunk to first {shrunk} events).\n"
-            f"Reproduce with: generate_trace({spec!r}).truncate({shrunk})\n"
-            f"Diverging fields: {diff}"
-        )
+    for engine in ("auto", "general"):
+        diff = _diff_fields(designs[key], trace, engine=engine)
+        if diff:
+            shrunk = _shrink_prefix(designs[key], spec, len(trace), engine=engine)
+            raise AssertionError(
+                f"engine {engine!r} diverges from seed referee on fuzz seed "
+                f"{1000 + fuzz_seed} (design {key!r}, {len(trace)} events; "
+                f"shrunk to first {shrunk} events).\n"
+                f"Reproduce with: generate_trace({spec!r}).truncate({shrunk})\n"
+                f"Diverging fields: {diff}"
+            )

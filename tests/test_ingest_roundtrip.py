@@ -319,8 +319,7 @@ def test_new_families_match_seed_engine_on_the_sample_trace(design_key):
     byte-identically between the auto-selected engine and the frozen
     seed referee for both new families.  Neither class has vector
     kernels (``vector_supported`` is False), so auto resolves to the
-    general engine -- the documented equivalent of cross-engine
-    byte-identity for these designs."""
+    vector engine's scalar BTB pass."""
     from repro.btb.vectorops import vector_supported
     from repro.experiments import design_registry
     from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
@@ -334,7 +333,7 @@ def test_new_families_match_seed_engine_on_the_sample_trace(design_key):
     assert vector_supported(btb) is False
     simulator = FrontendSimulator(btb, **kwargs)
     live = simulator.run(trace, warmup_fraction=0.3)
-    assert simulator.last_engine == "general"
+    assert simulator.last_engine == "vector"
 
     seed_btb, seed_kwargs = design.build()
     seed = SeedFrontendSimulator(seed_counterpart(seed_btb), **seed_kwargs)

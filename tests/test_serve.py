@@ -132,6 +132,99 @@ def test_batch_shares_one_decode_across_cold_requests():
         handle.shutdown()
 
 
+def test_cold_key_in_two_batches_simulates_once(monkeypatch):
+    """Two micro-batches on different worker threads that miss the same
+    key share one simulation: the second waits on the first's
+    process-local lease and answers from the memo."""
+    from repro.experiments import results
+
+    started = threading.Event()
+    second_miss = threading.Event()
+    release = threading.Event()
+    real_simulate = harness.simulate
+    real_get = results.get
+    misses = []
+
+    def gated_simulate(*args, **kwargs):
+        started.set()
+        assert release.wait(30.0)
+        return real_simulate(*args, **kwargs)
+
+    def counting_get(ref):
+        stats, tier = real_get(ref)
+        if stats is None:
+            misses.append(ref.memo_key)
+            if len(misses) == 2:
+                second_miss.set()
+        return stats, tier
+
+    monkeypatch.setattr(harness, "simulate", gated_simulate)
+    monkeypatch.setattr(results, "get", counting_get)
+    handle = serve_in_thread(_config(workers=2))
+    try:
+        client = ServeClient(port=handle.port)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(client.simulate, design="baseline", app=APP)
+            # The first batch is closed and simulating before the second
+            # request arrives, so the second lands in a batch of its own.
+            assert started.wait(30.0)
+            second = pool.submit(client.simulate, design="baseline", app=APP)
+            assert second_miss.wait(30.0)
+            release.set()
+            responses = [first.result(60.0), second.result(60.0)]
+        assert sorted(r.outcome for r in responses) == ["fresh", "memo"]
+        assert responses[0].body == responses[1].body
+        counters = handle.service.counters
+        assert counters["batches"] == 2
+        assert counters["fresh_jobs"] == 1
+    finally:
+        release.set()
+        handle.shutdown()
+
+
+def test_compute_once_single_flight_under_contention():
+    """More threads than cores race one cold key through the lease with
+    a tiny switch interval: exactly one computes, every other caller
+    answers from the memo."""
+    import sys
+
+    from repro.experiments import results
+    from repro.frontend.params import ICELAKE
+
+    ref = results.ResultRef(APP, SCALE, "baseline-4096", ICELAKE, 0.25)
+    computed = []
+    computed_lock = threading.Lock()
+    start = threading.Barrier(8)
+    answers = []
+
+    def compute() -> FrontendStats:
+        with computed_lock:
+            computed.append(threading.get_ident())
+        time.sleep(0.01)
+        stats = FrontendStats(instructions=1)
+        results.put(ref, stats)
+        return stats
+
+    def worker() -> None:
+        start.wait(10.0)
+        answers.append(results.compute_once(ref, compute))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(computed) == 1
+    assert sorted(kind for _, kind in answers) == ["fresh"] + ["memo"] * 7
+    assert len({id(stats) for stats, _ in answers}) == 1
+
+
 def test_group_pass_and_scheduler_bridge_byte_identical(monkeypatch):
     """Cold suite batches run as one in-process vectorised group pass,
     and the service ignores the shard scheduler's REPRO_SCHED_* knobs:
